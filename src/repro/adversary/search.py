@@ -34,14 +34,9 @@ from ..core.packed import (
     orbit_tables,
 )
 from ..core.probability import EventProbabilities
-from ..core.seeding import spawn_random
 from ..core.protocol import Protocol
-from ..core.run import (
-    Run,
-    all_message_tuples,
-    random_run,
-    run_space_size,
-)
+from ..core.run import Run, random_run, run_space_size
+from ..core.seeding import spawn_random
 from ..core.topology import Topology
 from ..core.types import Round
 from .strong import StrongAdversary
@@ -57,6 +52,12 @@ Objective = Callable[[EventProbabilities], float]
 #: reduction never changes an answer, cheap exactly where doubling
 #: the work is cheap.
 SYMMETRY_PARITY_LIMIT = 4_096
+
+#: The Monte-Carlo sample size of the exhaustive, family and random
+#: searches.  It is part of every memo-cache key they write, so sharing
+#: it lets a later pass hit an earlier one's entries (E16's family
+#: search after its exhaustive sweep).
+SEARCH_TRIALS = 2_000
 
 
 def _resolve_engine(engine):
@@ -120,8 +121,6 @@ def _search_over(
     objective: Objective,
     certification: str,
     strategy: str,
-    trials: int = 2_000,
-    rng: Optional[random.Random] = None,
     engine=None,
 ) -> SearchResult:
     engine = _resolve_engine(engine)
@@ -136,7 +135,7 @@ def _search_over(
         certification=certification,
     ):
         results = engine.evaluate_many(
-            protocol, topology, run_list, trials=trials, rng=rng
+            protocol, topology, run_list, trials=SEARCH_TRIALS
         )
         # Scan in submission order with a strict ``>``, so the winner
         # (the first run attaining the maximum) matches the historical
@@ -188,7 +187,9 @@ def _search_packed_stream(
     def scan(batch_runs: List[PackedRun]) -> None:
         nonlocal best_value, best_packed
         batch = RunBatch.from_bits(layout, (p.bits for p in batch_runs))
-        results = engine.evaluate_packed_many(protocol, topology, batch)
+        results = engine.evaluate_packed_many(
+            protocol, topology, batch, trials=SEARCH_TRIALS
+        )
         for packed, result in zip(batch_runs, results):
             value = objective(result)
             if value > best_value:
@@ -220,6 +221,10 @@ def exhaustive_search(
 ) -> SearchResult:
     """Enumerate every run of the strong adversary (small instances).
 
+    Runs stream packed, in enumeration order, through
+    :meth:`Engine.evaluate_packed_many` in chunks; the first run
+    attaining the maximum is the witness.
+
     With ``symmetry_reduction=True`` *and* a protocol that declares
     its symmetry (:meth:`Protocol.automorphism_invariant_vertices`
     returns non-``None``), enumeration visits one representative per
@@ -234,14 +239,15 @@ def exhaustive_search(
     """
     engine = _resolve_engine(engine)
     adversary = StrongAdversary(fixed_inputs=fixed_inputs)
-
+    space = adversary.size(topology, num_rounds)
     fixing = (
         protocol.automorphism_invariant_vertices(topology)
         if symmetry_reduction
         else None
     )
-    if fixing is not None:
-        space = adversary.size(topology, num_rounds)
+    if fixing is None:
+        stream = adversary.enumerate_packed(topology, num_rounds, limit=limit)
+    else:
         tables = orbit_tables(
             topology, num_rounds, sorted(fixing), fixed_inputs
         )
@@ -260,75 +266,38 @@ def exhaustive_search(
                 topology, num_rounds, sorted(fixing), fixed_inputs
             )
         )
-        with engine.obs.tracer.span(
-            "search.exhaustive",
-            protocol=protocol.name,
-            topology=topology.describe(),
-            runs=space,
-            certification="exact",
-            symmetry_reduction=True,
-        ):
-            best_value, best_packed, examined = _search_packed_stream(
-                protocol, topology, stream, objective, engine, num_rounds
-            )
-            if examined > limit:
-                raise ValueError(
-                    f"orbit-reduced enumeration produced {examined} "
-                    f"representatives, above the limit of {limit}"
-                )
-        engine.obs.metrics.counter("search.runs_examined").inc(examined)
-        reduction = space / examined
-        logger.debug(
-            "exhaustive search (orbit-reduced %.1fx) on %s: value=%.6f "
-            "over %d of %d runs",
-            reduction,
-            topology.describe(),
-            best_value,
-            examined,
-            space,
-        )
-        return SearchResult(
-            best_value,
-            best_packed.unpack() if best_packed is not None else None,
-            examined,
-            "exact",
-            "exhaustive",
-            reduction_factor=reduction,
-        )
-
-    if engine.backend != "reference" and engine.supports_vectorized(
-        protocol, topology
+    with engine.obs.tracer.span(
+        "search.exhaustive",
+        protocol=protocol.name,
+        topology=topology.describe(),
+        runs=space,
+        certification="exact",
+        symmetry_reduction=fixing is not None,
     ):
-        stream = adversary.enumerate_packed(topology, num_rounds, limit=limit)
-        with engine.obs.tracer.span(
-            "search.exhaustive",
-            protocol=protocol.name,
-            topology=topology.describe(),
-            runs=adversary.size(topology, num_rounds),
-            certification="exact",
-        ):
-            best_value, best_packed, examined = _search_packed_stream(
-                protocol, topology, stream, objective, engine, num_rounds
+        best_value, best_packed, examined = _search_packed_stream(
+            protocol, topology, stream, objective, engine, num_rounds
+        )
+        if fixing is not None and examined > limit:
+            raise ValueError(
+                f"orbit-reduced enumeration produced {examined} "
+                f"representatives, above the limit of {limit}"
             )
-        engine.obs.metrics.counter("search.runs_examined").inc(examined)
-        logger.debug(
-            "exhaustive search (packed) on %s: value=%.6f over %d runs",
-            topology.describe(),
-            best_value,
-            examined,
-        )
-        return SearchResult(
-            best_value,
-            best_packed.unpack() if best_packed is not None else None,
-            examined,
-            "exact",
-            "exhaustive",
-        )
-
-    runs = adversary.enumerate(topology, num_rounds, limit=limit)
-    return _search_over(
-        protocol, topology, runs, objective, "exact", "exhaustive",
-        engine=engine,
+    engine.obs.metrics.counter("search.runs_examined").inc(examined)
+    reduction = space / examined if fixing is not None else None
+    logger.debug(
+        "exhaustive search on %s: value=%.6f over %d of %d runs",
+        topology.describe(),
+        best_value,
+        examined,
+        space,
+    )
+    return SearchResult(
+        best_value,
+        best_packed.unpack() if best_packed is not None else None,
+        examined,
+        "exact",
+        "exhaustive",
+        reduction_factor=reduction,
     )
 
 
@@ -372,24 +341,31 @@ def random_search(
     )
 
 
-def _greedy_search_incremental(
+def greedy_search(
     protocol: Protocol,
     topology: Topology,
     num_rounds: Round,
-    current: PackedRun,
-    objective: Objective,
-    max_passes: int,
-    engine,
+    seed_run: Run,
+    objective: Objective = unsafety_objective,
+    max_passes: int = 3,
+    engine=None,
 ) -> SearchResult:
-    """Packed hill-climb: one incremental kernel call per pass.
+    """Hill-climb by flipping one delivery or input at a time.
 
-    Each pass asks the engine for the whole single-bit neighborhood at
-    once (:meth:`Engine.evaluate_neighbors` resumes simulation from the
-    flipped round, so the pass costs far less than ``num_bits`` full
-    evaluations).  Neighbor order — message bits ascending, then input
-    bits — is exactly the legacy flip order, so tie-breaking and the
-    returned witness are unchanged.
+    Starts from ``seed_run`` and repeatedly applies the single-bit
+    flip (add/remove a message delivery, toggle an input) that most
+    improves the objective, until a pass yields no improvement or the
+    pass budget is exhausted.  Each pass asks the engine for the whole
+    neighborhood at once (:meth:`Engine.evaluate_neighbors`, which
+    resumes simulation from the flipped round where the vectorized
+    kernel applies).  Candidates are tried message bits ascending,
+    then input bits — the order of :func:`all_message_tuples` and then
+    the processes — and the first strict improvement wins ties.
+    Raises ``ValueError`` if ``seed_run`` does not fit the
+    ``num_rounds`` layout of ``topology``.
     """
+    engine = _resolve_engine(engine)
+    current = layout_for(topology, num_rounds).pack(seed_run)
     layout = current.layout
     m = layout.num_processes
     bit_order = list(range(m, layout.num_bits)) + list(range(m))
@@ -421,93 +397,8 @@ def _greedy_search_incremental(
             current_value = best_value
         if current_value is None:  # max_passes <= 0: just score the seed
             current_value = objective(
-                engine.evaluate(protocol, topology, current.unpack())
+                engine.evaluate(protocol, topology, seed_run)
             )
-    engine.obs.metrics.counter("search.runs_examined").inc(examined)
-    logger.debug(
-        "greedy search (incremental) on %s: value=%.6f over %d runs",
-        topology.describe(),
-        current_value,
-        examined,
-    )
-    return SearchResult(
-        current_value, current.unpack(), examined, "heuristic", "greedy"
-    )
-
-
-def greedy_search(
-    protocol: Protocol,
-    topology: Topology,
-    num_rounds: Round,
-    seed_run: Run,
-    objective: Objective = unsafety_objective,
-    max_passes: int = 3,
-    engine=None,
-) -> SearchResult:
-    """Hill-climb by flipping one delivery or input at a time.
-
-    Starts from ``seed_run`` and repeatedly applies the single-tuple
-    flip (add/remove a message delivery, toggle an input) that most
-    improves the objective, until a pass yields no improvement or the
-    pass budget is exhausted.  On backends with the incremental kernel
-    the whole neighborhood is one resumed-simulation call; otherwise
-    each pass's neighborhood is evaluated as one engine batch and
-    revisited neighbors are cache hits.  Both paths flip candidates in
-    the same order, so they return identical results.
-    """
-    engine = _resolve_engine(engine)
-    if engine.supports_incremental(protocol, topology):
-        try:
-            packed_seed = layout_for(topology, num_rounds).pack(seed_run)
-        except ValueError:
-            packed_seed = None  # off-layout seed: fall back to tuple path
-        if packed_seed is not None:
-            return _greedy_search_incremental(
-                protocol, topology, num_rounds, packed_seed,
-                objective, max_passes, engine,
-            )
-    all_tuples = all_message_tuples(topology, num_rounds)
-    current = seed_run
-    with engine.obs.tracer.span(
-        "search.greedy",
-        protocol=protocol.name,
-        topology=topology.describe(),
-        max_passes=max_passes,
-    ):
-        current_value = objective(engine.evaluate(protocol, topology, current))
-        examined = 1
-        for _ in range(max_passes):
-            improved = False
-            best_neighbor = None
-            best_neighbor_value = current_value
-            neighbors: List[Run] = []
-            for message in all_tuples:
-                if message in current.messages:
-                    neighbors.append(current.removing(message))
-                else:
-                    neighbors.append(current.adding(message))
-            for process in topology.processes:
-                if process in current.inputs:
-                    neighbors.append(
-                        current.with_inputs(current.inputs - {process})
-                    )
-                else:
-                    neighbors.append(
-                        current.with_inputs(current.inputs | {process})
-                    )
-            results = engine.evaluate_many(protocol, topology, neighbors)
-            examined += len(neighbors)
-            for neighbor, result in zip(neighbors, results):
-                value = objective(result)
-                if value > best_neighbor_value:
-                    best_neighbor = neighbor
-                    best_neighbor_value = value
-            if best_neighbor is not None:
-                current = best_neighbor
-                current_value = best_neighbor_value
-                improved = True
-            if not improved:
-                break
     engine.obs.metrics.counter("search.runs_examined").inc(examined)
     logger.debug(
         "greedy search on %s: value=%.6f over %d runs",
@@ -516,7 +407,7 @@ def greedy_search(
         examined,
     )
     return SearchResult(
-        current_value, current, examined, "heuristic", "greedy"
+        current_value, current.unpack(), examined, "heuristic", "greedy"
     )
 
 

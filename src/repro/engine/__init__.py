@@ -3,8 +3,9 @@
 Public surface:
 
 * :class:`Engine` — the facade with pluggable backends (``auto`` /
-  ``reference`` / ``vectorized``), a pluggable memo cache over exact
-  results, and instrumentation counters (:class:`EngineStats`);
+  ``reference`` / ``vectorized`` / ``meanfield``), a pluggable memo
+  cache over exact results, and instrumentation counters
+  (:class:`EngineStats`);
 * :mod:`repro.engine.cache` — the :class:`EngineCache` interface with
   the in-process FIFO default (:class:`InProcessCache`) and the
   warm-start snapshot variant serving shards use

@@ -3,13 +3,18 @@
 Every layer that needs ``Pr[X | R]`` — the probability module, the
 worst-run searches, the weak-adversary estimators, the experiment
 runners — goes through an :class:`Engine` rather than calling the
-simulator directly.  The engine picks a backend per call:
+simulator directly.  The methods that evaluate runs are thin adapters
+over one batched pipeline, and one function, :meth:`Engine._route`,
+picks the backend for each batch:
 
 * ``reference`` — the pure-python simulator via
   :func:`repro.core.probability.evaluate`, unchanged semantics;
 * ``vectorized`` — the numpy batch kernel of
   :mod:`repro.engine.vectorized` wherever it supports the
   (protocol, topology) pair exactly, reference otherwise;
+* ``meanfield`` — the counter-abstraction kernels of
+  :mod:`repro.meanfield` for every exact evaluation (complete graphs
+  and class-uniform runs only; anything else raises a typed error);
 * ``auto`` — vectorize exactly-supported batches once they are large
   enough to amortize tensor packing, reference for everything else.
 
@@ -58,9 +63,11 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
+    cast,
 )
 
-from ..core.packed import PackedRun, RunBatch, layout_for
+from ..core.packed import PackedRun, RunBatch, RunLayout, layout_for
 from ..core.probability import (
     DEFAULT_ENUMERATION_LIMIT,
     DEFAULT_TRIALS,
@@ -90,7 +97,7 @@ BACKENDS = ("auto", "reference", "vectorized", "meanfield")
 #: because a cache hit replays the stored value without re-running
 #: them.  Rule RC005 of :mod:`repro.staticcheck` verifies the contract
 #: statically; the Monte-Carlo paths are deliberately absent (their
-#: results are never cached, see :meth:`Engine._cache_put`).
+#: results are never cached, see :meth:`Engine._pipeline`).
 CACHEABLE_QUALNAMES: Tuple[str, ...] = (
     "repro.core.probability.exact_probabilities",
     "repro.engine.vectorized.evaluate_batch",
@@ -122,6 +129,51 @@ DEFAULT_CACHE_SIZE = 200_000
 # Bound for the engine-internal scaled-evaluation memo (parametric
 # counter specs are tiny, but sweeps can generate many of them).
 SCALED_CACHE_SIZE = 4_096
+
+#: One run as the pipeline carries it: packed under its topology's
+#: layout, or the :class:`Run` itself when it does not fit the layout.
+_Row = Union[PackedRun, Run]
+
+
+def _keyed_rows(
+    protocol: Protocol,
+    topology: Topology,
+    runs: Union[List[Run], RunBatch, PackedRun],
+    method: str,
+    trials: int,
+) -> Tuple[List[_Row], List[Optional[tuple]]]:
+    """The rows of a pipeline source, in result order, and their keys.
+
+    A :class:`PackedRun` source stands for itself followed by its
+    single-bit neighbors in bit order.  Keys are the memo-cache keys
+    of :meth:`Engine.cache_key`.
+    """
+    if isinstance(runs, RunBatch):
+        rows: List[_Row] = [runs.packed(index) for index in range(len(runs))]
+    elif isinstance(runs, PackedRun):
+        flips = range(runs.layout.num_bits)
+        rows = [runs] + [runs.with_bit_flipped(bit) for bit in flips]
+    else:
+        rows = []
+        for run in runs:
+            try:
+                rows.append(layout_for(topology, run.num_rounds).pack(run))
+            except ValueError:
+                rows.append(run)  # off-layout: keyed and evaluated as itself
+    try:
+        prefix = (hash(protocol), protocol, topology)
+    except TypeError:
+        return rows, [None] * len(rows)  # unhashable protocol: skip memoization
+    return rows, [
+        (*prefix, row.num_rounds, row.bits, method, trials)
+        if isinstance(row, PackedRun)
+        else (*prefix, row, method, trials)
+        for row in rows
+    ]
+
+
+def _as_run(row: _Row) -> Run:
+    return row.unpack() if isinstance(row, PackedRun) else row
 
 
 class EngineStats:
@@ -198,7 +250,7 @@ class EngineBusyError(RuntimeError):
 
 @dataclass
 class Engine:
-    """Facade over the reference and vectorized evaluation backends.
+    """Facade over the reference, vectorized and meanfield backends.
 
     **Thread affinity.** An engine instance is single-threaded by
     contract: evaluations (:meth:`evaluate`, :meth:`evaluate_many`,
@@ -219,9 +271,7 @@ class Engine:
 
     backend: str = "auto"
     cache_size: int = DEFAULT_CACHE_SIZE
-    min_vectorized_batch: int = MIN_VECTORIZED_BATCH
     obs: Optional[Obs] = None
-    stats: Optional[EngineStats] = field(default=None, repr=False)
     cache: Optional[EngineCache] = field(default=None, repr=False)
     #: Optional audit hook fired after each timed evaluation with
     #: ``(operation, duration_seconds, attributes)``.  The serving
@@ -233,6 +283,8 @@ class Engine:
     span_hook: Optional[Callable[[str, float, Dict[str, Any]], None]] = field(
         default=None, repr=False
     )
+    #: Read view over this engine's metrics, built on construction.
+    stats: EngineStats = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -299,52 +351,7 @@ class Engine:
         still reach the backend, which rejects or evaluates them with
         reference semantics, and their cache behavior is unchanged.
         """
-        try:
-            packed_bits = layout_for(topology, run.num_rounds).pack_bits(run)
-        except ValueError:
-            try:
-                return (hash(protocol), protocol, topology, run, method, trials)
-            except TypeError:
-                return None  # unhashable protocol: skip memoization
-        try:
-            return (
-                hash(protocol),
-                protocol,
-                topology,
-                run.num_rounds,
-                packed_bits,
-                method,
-                trials,
-            )
-        except TypeError:
-            return None  # unhashable protocol: skip memoization
-
-    @staticmethod
-    def packed_cache_key(
-        protocol: Protocol,
-        topology: Topology,
-        packed: PackedRun,
-        method: str = "auto",
-        trials: int = DEFAULT_TRIALS,
-    ) -> Optional[tuple]:
-        """The memo-cache key for a packed run — no ``Run`` needed.
-
-        Produces the same key :meth:`cache_key` would for the unpacked
-        run, so the packed search paths and the legacy scalar path hit
-        each other's entries.
-        """
-        try:
-            return (
-                hash(protocol),
-                protocol,
-                topology,
-                packed.num_rounds,
-                packed.bits,
-                method,
-                trials,
-            )
-        except TypeError:
-            return None  # unhashable protocol: skip memoization
+        return _keyed_rows(protocol, topology, [run], method, trials)[1][0]
 
     @staticmethod
     def counter_cache_key(
@@ -406,24 +413,28 @@ class Engine:
                 "reader (see the Engine thread-affinity contract)"
             )
 
-    def _cache_get(self, key: Optional[tuple]) -> Optional[EventProbabilities]:
-        if key is None:
-            return None
-        assert self.cache is not None
-        result = self.cache.get(key)
-        if result is not None:
-            self._hit_counter.value += 1
-        else:
-            self._miss_counter.value += 1
-        return result
+    def _lookup(
+        self,
+        keys: Sequence[Optional[tuple]],
+        results: List[Optional[EventProbabilities]],
+    ) -> List[int]:
+        """Fill cache hits into ``results``; return the indices that missed.
 
-    def _cache_put(
-        self, key: Optional[tuple], result: EventProbabilities
-    ) -> None:
-        if key is None or not result.is_exact():
-            return
+        Rows without a key (unhashable protocol) are neither looked up
+        nor counted.
+        """
         assert self.cache is not None
-        self.cache.put(key, result)
+        pending: List[int] = []
+        for index, key in enumerate(keys):
+            cached = None if key is None else self.cache.get(key)
+            if cached is not None:
+                self._hit_counter.value += 1
+                results[index] = cached
+                continue
+            if key is not None:
+                self._miss_counter.value += 1
+            pending.append(index)
+        return pending
 
     def clear_cache(self) -> None:
         """Drop the memo cache (raises :class:`EngineBusyError` if
@@ -491,63 +502,63 @@ class Engine:
         imported: int = importer(blob)
         return imported
 
-    # -- backend selection --------------------------------------------
+    # -- routing and bookkeeping --------------------------------------
 
-    def supports_vectorized(
-        self, protocol: Protocol, topology: Topology
-    ) -> bool:
-        """Whether the numpy kernel evaluates this pair exactly."""
-        from . import vectorized
-
-        return vectorized.supports(protocol, topology)
-
-    def supports_meanfield(
-        self, protocol: Protocol, topology: Topology
-    ) -> bool:
-        """Whether the counter-abstraction kernel evaluates this pair.
-
-        True only on complete graphs for the protocol families with a
-        lumped kernel (S, W, M); individual runs must additionally be
-        class-uniform, which :func:`repro.meanfield.evaluate_counter`
-        checks per call.
-        """
-        from .. import meanfield
-
-        return meanfield.supports(protocol, topology)
-
-    def _wants_vectorized(
+    def _route(
         self,
         protocol: Protocol,
         topology: Topology,
         method: str,
-        batch: int,
-    ) -> bool:
-        if self.backend in ("reference", "meanfield"):
-            return False
-        if method not in ("auto", "closed-form"):
-            return False  # caller demanded enumeration / Monte Carlo
-        if not self.supports_vectorized(protocol, topology):
-            return False
-        if self.backend == "vectorized":
-            return True
-        return batch >= self.min_vectorized_batch
+        batch_size: int,
+    ) -> str:
+        """The backend that evaluates ``batch_size`` runs of one call.
 
-    def _wants_meanfield(
-        self, protocol: Protocol, topology: Topology, method: str
-    ) -> bool:
-        """Route exact evaluations through the counter abstraction.
-
-        Only under ``backend="meanfield"``, and only for methods the
-        lumped kernels answer exactly; a caller explicitly demanding
-        enumeration or Monte Carlo keeps reference semantics (mirrors
-        the vectorized backend's Monte-Carlo passthrough).  Unsupported
-        (protocol, topology) pairs are *not* silently downgraded —
-        :func:`repro.meanfield.evaluate_counter` raises a typed error
-        naming the obstruction, which is the backend's contract.
+        A caller demanding enumeration or Monte Carlo always gets the
+        reference simulator.  Exact methods go to the counter
+        abstraction under ``backend="meanfield"`` — unsupported pairs
+        are *not* downgraded: :func:`repro.meanfield.evaluate_counter`
+        raises a typed error naming the obstruction.  Otherwise they go
+        to the numpy kernel wherever it evaluates the pair exactly —
+        under ``vectorized`` always, under ``auto`` from
+        :data:`MIN_VECTORIZED_BATCH` runs up — and to reference
+        everywhere else.
         """
-        if self.backend != "meanfield":
-            return False
-        return method in ("auto", "closed-form")
+        if self.backend == "reference" or method not in ("auto", "closed-form"):
+            return "reference"
+        if self.backend == "meanfield":
+            return "meanfield"
+        if self.backend == "auto" and batch_size < MIN_VECTORIZED_BATCH:
+            return "reference"
+        from . import vectorized
+
+        return "vectorized" if vectorized.supports(protocol, topology) else "reference"
+
+    @contextmanager
+    def _call(self, operation: str, **attributes: Any) -> Iterator[Any]:
+        """One engine call: its span (yielded) and the in-flight guard."""
+        with self.obs.tracer.span(operation, **attributes) as span, self._evaluating():
+            yield span
+
+    @contextmanager
+    def _timed(self, operation: str, runs: int, misses: int) -> Iterator[None]:
+        """Time one call's backend work and report it to ``span_hook``.
+
+        A call whose runs were all cache hits did no backend work: it
+        is reported with a zero duration and adds no latency sample.
+        """
+        started = monotonic()
+        yield
+        elapsed = 0.0
+        if misses:
+            elapsed = monotonic() - started
+            self._wall_counter.value += elapsed
+            self._latency_histogram.observe(elapsed)
+        if self.span_hook is not None:
+            self.span_hook(
+                operation,
+                elapsed,
+                {"runs": runs, "cache_hits": runs - misses, "cache_misses": misses},
+            )
 
     # -- evaluation ----------------------------------------------------
 
@@ -561,59 +572,17 @@ class Engine:
         rng: Optional[random.Random] = None,
         enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
     ) -> EventProbabilities:
-        """Cached scalar evaluation (reference semantics)."""
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "engine.evaluate", protocol=protocol.name, method=method
-            )
-        else:
-            span = tracer.span("engine.evaluate")
-        with span, self._evaluating():
-            self._runs_counter.value += 1
-            key = self.cache_key(protocol, topology, run, method, trials)
-            cached = self._cache_get(key)
-            if cached is not None:
-                return cached
-            started = monotonic()
-            if self._wants_meanfield(protocol, topology, method):
-                from ..meanfield import evaluate_counter
-
-                result = evaluate_counter(protocol, topology, run)
-                self._meanfield_counter.value += 1
-            elif self._wants_vectorized(protocol, topology, method, batch=1):
-                from . import vectorized
-
-                result = vectorized.evaluate_batch(protocol, topology, [run])[0]
-                self._vectorized_counter.value += 1
-            else:
-                result = evaluate(
-                    protocol,
-                    topology,
-                    run,
-                    method=method,
-                    trials=trials,
-                    rng=rng,
-                    enumeration_limit=enumeration_limit,
-                )
-                self._reference_counter.value += 1
-            elapsed = monotonic() - started
-            self._wall_counter.value += elapsed
-            self._latency_histogram.observe(elapsed)
-            if self.span_hook is not None:
-                self.span_hook(
-                    "engine.evaluate",
-                    elapsed,
-                    {"runs": 1, "cache_hits": 0, "cache_misses": 1},
-                )
-            if result.method == "monte-carlo" and result.trials:
-                self._mc_trials_counter.inc(result.trials)
-            self._cache_put(key, result)
-            if self.obs.exec_trace and tracer.enabled:
-                from ..obs.exec_trace import trace_execution
-
-                trace_execution(protocol, topology, run, tracer)
-            return result
+        """Cached scalar evaluation (reference semantics): a one-run batch."""
+        return self._pipeline(
+            "engine.evaluate",
+            protocol,
+            topology,
+            run,
+            method,
+            trials,
+            rng,
+            enumeration_limit,
+        )[0]
 
     def evaluate_many(
         self,
@@ -633,131 +602,17 @@ class Engine:
         change how fast the answers arrive.
         """
         runs = list(runs)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "engine.evaluate_many",
-                protocol=protocol.name,
-                method=method,
-                runs=len(runs),
-            )
-        else:
-            span = tracer.span("engine.evaluate_many")
-        with span, self._evaluating():
-            self._batch_counter.value += 1
-            self._runs_counter.value += len(runs)
-            results: List[Optional[EventProbabilities]] = [None] * len(runs)
-            keys: List[Optional[tuple]] = [None] * len(runs)
-            pending: List[int] = []
-            for index, run in enumerate(runs):
-                key = self.cache_key(protocol, topology, run, method, trials)
-                keys[index] = key
-                cached = self._cache_get(key)
-                if cached is not None:
-                    results[index] = cached
-                else:
-                    pending.append(index)
-            if not pending:
-                if self.span_hook is not None:
-                    self.span_hook(
-                        "engine.evaluate_many",
-                        0.0,
-                        {
-                            "runs": len(runs),
-                            "cache_hits": len(runs),
-                            "cache_misses": 0,
-                        },
-                    )
-                return [result for result in results if result is not None]
-            started = monotonic()
-            if self._wants_vectorized(
-                protocol, topology, method, batch=len(pending)
-            ):
-                self._evaluate_pending_vectorized(
-                    protocol, topology, runs, results, keys, pending
-                )
-            else:
-                for index in pending:
-                    # Re-consult the cache so duplicate runs inside one
-                    # batch are evaluated once (exact results only; the
-                    # cache never stores Monte-Carlo estimates).
-                    assert self.cache is not None
-                    cached = (
-                        self.cache.get(keys[index])
-                        if keys[index] is not None
-                        else None
-                    )
-                    if cached is not None:
-                        results[index] = cached
-                        continue
-                    if self._wants_meanfield(protocol, topology, method):
-                        from ..meanfield import evaluate_counter
-
-                        result = evaluate_counter(
-                            protocol, topology, runs[index]
-                        )
-                        self._meanfield_counter.value += 1
-                    else:
-                        result = evaluate(
-                            protocol,
-                            topology,
-                            runs[index],
-                            method=method,
-                            trials=trials,
-                            rng=rng,
-                            enumeration_limit=enumeration_limit,
-                        )
-                        self._reference_counter.value += 1
-                    if result.method == "monte-carlo" and result.trials:
-                        self._mc_trials_counter.inc(result.trials)
-                    self._cache_put(keys[index], result)
-                    results[index] = result
-            elapsed = monotonic() - started
-            self._wall_counter.value += elapsed
-            self._latency_histogram.observe(elapsed)
-            if self.span_hook is not None:
-                self.span_hook(
-                    "engine.evaluate_many",
-                    elapsed,
-                    {
-                        "runs": len(runs),
-                        "cache_hits": len(runs) - len(pending),
-                        "cache_misses": len(pending),
-                    },
-                )
-            return [result for result in results if result is not None]
-
-    def _evaluate_pending_vectorized(
-        self,
-        protocol: Protocol,
-        topology: Topology,
-        runs: Sequence[Run],
-        results: List[Optional[EventProbabilities]],
-        keys: List[Optional[tuple]],
-        pending: List[int],
-    ) -> None:
-        from . import vectorized
-
-        # Deduplicate within the batch (closed-form results are pure),
-        # and group by horizon: the kernel wants uniform num_rounds.
-        by_horizon: Dict[Round, Dict[Run, List[int]]] = {}
-        for index in pending:
-            run = runs[index]
-            by_horizon.setdefault(run.num_rounds, {}).setdefault(
-                run, []
-            ).append(index)
-        for unique in by_horizon.values():
-            unique_runs = list(unique.keys())
-            batch_results = vectorized.evaluate_batch(
-                protocol, topology, unique_runs
-            )
-            self._vectorized_counter.value += len(unique_runs)
-            for run, result in zip(unique_runs, batch_results):
-                for index in unique[run]:
-                    results[index] = result
-                    self._cache_put(keys[index], result)
-
-    # -- packed evaluation --------------------------------------------
+        return self._pipeline(
+            "engine.evaluate_many",
+            protocol,
+            topology,
+            runs,
+            method,
+            trials,
+            rng,
+            enumeration_limit,
+            runs=len(runs),
+        )
 
     def evaluate_packed_many(
         self,
@@ -766,87 +621,28 @@ class Engine:
         batch: RunBatch,
         method: str = "auto",
         trials: int = DEFAULT_TRIALS,
-        use_cache: bool = False,
     ) -> List[EventProbabilities]:
         """Evaluate a :class:`RunBatch`, packed end-to-end when possible.
 
-        When the vectorized kernel supports the pair, the batch's words
-        feed it directly — no ``Run`` objects exist at any point.
-        Otherwise the batch is unpacked and delegated to
-        :meth:`evaluate_many` (reference semantics), so the call is
+        When the vectorized kernel takes the batch, its words feed the
+        kernel directly — no ``Run`` objects exist at any point — and
+        the memo cache is bypassed: the bulk callers (exhaustive
+        sweeps) visit each run exactly once, so per-run memo traffic
+        would only add overhead and evict genuinely reusable entries.
+        On any other backend the batch is cached and evaluated like
+        :meth:`evaluate_many` over its unpacked runs, so the call is
         total either way and results are bit-identical across paths.
-
-        ``use_cache`` defaults to False: the bulk callers (exhaustive
-        packed sweeps) visit each run exactly once, so per-run memo
-        traffic would only add overhead and evict genuinely reusable
-        entries.  Pass True to memoize each result under the same
-        packed keys the scalar path uses.
         """
         if len(batch) == 0:
             return []
-        if not self._wants_vectorized(
-            protocol, topology, method, batch=len(batch)
-        ):
-            return self.evaluate_many(
-                protocol,
-                topology,
-                batch.to_runs(),
-                method=method,
-                trials=trials,
-            )
-        from . import vectorized
-
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "engine.evaluate_packed_many",
-                protocol=protocol.name,
-                method=method,
-                runs=len(batch),
-            )
-        else:
-            span = tracer.span("engine.evaluate_packed_many")
-        with span, self._evaluating():
-            self._batch_counter.value += 1
-            self._runs_counter.value += len(batch)
-            started = monotonic()
-            results = vectorized.evaluate_packed_batch(
-                protocol, topology, batch
-            )
-            self._vectorized_counter.value += len(batch)
-            if use_cache:
-                for index, result in enumerate(results):
-                    key = self.packed_cache_key(
-                        protocol, topology, batch.packed(index), method, trials
-                    )
-                    self._cache_put(key, result)
-            elapsed = monotonic() - started
-            self._wall_counter.value += elapsed
-            self._latency_histogram.observe(elapsed)
-            if self.span_hook is not None:
-                self.span_hook(
-                    "engine.evaluate_packed_many",
-                    elapsed,
-                    {
-                        "runs": len(batch),
-                        "cache_hits": 0,
-                        "cache_misses": len(batch),
-                    },
-                )
-            return results
-
-    def supports_incremental(
-        self, protocol: Protocol, topology: Topology
-    ) -> bool:
-        """Whether :meth:`evaluate_neighbors` can serve this pair.
-
-        The incremental kernel is a vectorized-backend feature; under
-        ``backend="reference"`` (or ``"meanfield"``) callers should
-        evaluate neighbors through :meth:`evaluate_many` instead (same
-        results, no prefix-state reuse).
-        """
-        return self.backend in ("auto", "vectorized") and self.supports_vectorized(
-            protocol, topology
+        return self._pipeline(
+            "engine.evaluate_packed_many",
+            protocol,
+            topology,
+            batch,
+            method,
+            trials,
+            runs=len(batch),
         )
 
     def evaluate_neighbors(
@@ -857,69 +653,173 @@ class Engine:
         method: str = "auto",
         trials: int = DEFAULT_TRIALS,
     ) -> Tuple[EventProbabilities, List[EventProbabilities]]:
-        """A run and all of its single-bit neighbors, incrementally.
+        """A run and all of its single-bit neighbors.
 
-        Returns ``(parent_result, by_bit)`` — see
+        Returns ``(parent_result, by_bit)``, where ``by_bit[b]`` is the
+        result for ``parent`` with bit ``b`` flipped.  When the
+        vectorized kernel takes the neighborhood it is evaluated
+        incrementally — see
         :func:`repro.engine.vectorized.evaluate_neighbor_batch`; each
-        neighbor re-derives its counts from the parent's cached
-        per-round state instead of simulating from scratch.  All
-        results are exact and are memoized under the packed cache
-        keys.  Raises ``ValueError`` when
-        :meth:`supports_incremental` is False for the pair.
+        neighbor re-derives its counts from the parent's per-round
+        state instead of simulating from scratch — and every result is
+        memoized under the packed cache keys.  On any other backend
+        the parent and its neighbors are one cached batch.
         """
-        if not self.supports_incremental(protocol, topology):
-            raise ValueError(
-                "incremental neighbor evaluation requires the vectorized "
-                f"backend to support protocol {protocol.name!r} on this "
-                "topology"
-            )
+        results = self._pipeline(
+            "engine.evaluate_neighbors",
+            protocol,
+            topology,
+            parent,
+            method,
+            trials,
+            neighbors=parent.layout.num_bits,
+        )
+        return results[0], results[1:]
+
+    def _pipeline(
+        self,
+        operation: str,
+        protocol: Protocol,
+        topology: Topology,
+        source: Union[Run, List[Run], RunBatch, PackedRun],
+        method: str,
+        trials: int,
+        rng: Optional[random.Random] = None,
+        enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
+        **attributes: Any,
+    ) -> List[EventProbabilities]:
+        """Evaluate ``source`` in order: the one path behind every method.
+
+        ``source`` is one run (a scalar call), a list of runs, a
+        :class:`RunBatch`, or a :class:`PackedRun` standing for itself
+        followed by its single-bit neighbors in bit order.  Runs are
+        packed once, on entry: the packed form is both their cache key
+        and the kernel's input.  Runs are looked up in the memo cache,
+        the misses go to the backend :meth:`_route` picks for their
+        count, duplicates among them are evaluated once, and exact
+        results are stored.
+
+        Packed input is fresh by construction — an enumeration sweep
+        or a neighborhood — so it is routed before any lookup, and the
+        kernel takes it whole without one.  A neighborhood still stores
+        its results for later calls; a sweep, whose runs are never
+        revisited, stores nothing.  Any other backend meets the cache
+        with packed input as with any batch.
+        """
+        runs = [source] if isinstance(source, Run) else source
+        size = 1 + runs.layout.num_bits if isinstance(runs, PackedRun) else len(runs)
+        with self._call(
+            operation, protocol=protocol.name, method=method, **attributes
+        ) as span:
+            self._runs_counter.value += size
+            if not isinstance(source, Run):
+                self._batch_counter.value += 1
+            results: List[Optional[EventProbabilities]] = [None] * size
+            fresh = not isinstance(runs, list)
+            rows: List[_Row] = []
+            keys: List[Optional[tuple]] = []
+            pending: Sequence[int] = range(size)
+            if not fresh:
+                rows, keys = _keyed_rows(protocol, topology, runs, method, trials)
+                pending = self._lookup(keys, results)
+            route = self._route(protocol, topology, method, len(pending))
+            span.set(backend=route)
+            if fresh and not (route == "vectorized" and isinstance(runs, RunBatch)):
+                # Off the kernel, packed input meets the cache like any
+                # batch (fewer runs cannot route it to the kernel); on
+                # it, a neighborhood is stored but not looked up.
+                rows, keys = _keyed_rows(protocol, topology, runs, method, trials)
+                if route != "vectorized":
+                    pending = self._lookup(keys, results)
+            with self._timed(operation, size, len(pending)):
+                if route == "vectorized":
+                    self._kernel(protocol, topology, runs, rows, pending, results)
+                else:
+                    # In order, so Monte-Carlo runs consume the rng as
+                    # a serial loop would; exact results serve repeats.
+                    done: Dict[tuple, EventProbabilities] = {}
+                    for index in pending:
+                        key = keys[index]
+                        if key in done:
+                            results[index] = done[key]
+                            continue
+                        run = (
+                            runs[index]
+                            if isinstance(runs, list)
+                            else _as_run(rows[index])
+                        )
+                        if route == "meanfield":
+                            from ..meanfield import evaluate_counter
+
+                            result = evaluate_counter(protocol, topology, run)
+                            self._meanfield_counter.value += 1
+                        else:
+                            result = evaluate(
+                                protocol,
+                                topology,
+                                run,
+                                method=method,
+                                trials=trials,
+                                rng=rng,
+                                enumeration_limit=enumeration_limit,
+                            )
+                            self._reference_counter.value += 1
+                            if result.method == "monte-carlo" and result.trials:
+                                self._mc_trials_counter.inc(result.trials)
+                        if key is not None and result.is_exact():
+                            done[key] = result
+                        results[index] = result
+                if keys:  # a sweep the kernel took whole stores nothing
+                    assert self.cache is not None
+                    for index in pending:
+                        key, stored = keys[index], results[index]
+                        if key is not None and stored is not None and stored.is_exact():
+                            self.cache.put(key, stored)
+            if isinstance(source, Run) and pending and self.obs.exec_trace:
+                if self.obs.tracer.enabled:
+                    from ..obs.exec_trace import trace_execution
+
+                    trace_execution(protocol, topology, source, self.obs.tracer)
+            return cast(List[EventProbabilities], results)  # every slot filled
+
+    def _kernel(
+        self,
+        protocol: Protocol,
+        topology: Topology,
+        runs: Union[List[Run], RunBatch, PackedRun],
+        rows: List[_Row],
+        pending: Sequence[int],
+        results: List[Optional[EventProbabilities]],
+    ) -> None:
+        """Fill ``results[pending]`` from the vectorized kernel."""
         from . import vectorized
 
-        num_neighbors = parent.layout.num_bits
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "engine.evaluate_neighbors",
-                protocol=protocol.name,
-                neighbors=num_neighbors,
-            )
-        else:
-            span = tracer.span("engine.evaluate_neighbors")
-        with span, self._evaluating():
-            self._batch_counter.value += 1
-            self._runs_counter.value += 1 + num_neighbors
-            started = monotonic()
+        if isinstance(runs, RunBatch):
+            results[:] = vectorized.evaluate_packed_batch(protocol, topology, runs)
+            self._vectorized_counter.value += len(runs)
+            return
+        if isinstance(runs, PackedRun):
             parent_result, by_bit = vectorized.evaluate_neighbor_batch(
-                protocol, topology, parent
+                protocol, topology, runs
             )
-            self._vectorized_counter.value += 1 + num_neighbors
-            self._cache_put(
-                self.packed_cache_key(protocol, topology, parent, method, trials),
-                parent_result,
-            )
-            for bit, result in enumerate(by_bit):
-                key = self.packed_cache_key(
-                    protocol,
-                    topology,
-                    parent.with_bit_flipped(bit),
-                    method,
-                    trials,
-                )
-                self._cache_put(key, result)
-            elapsed = monotonic() - started
-            self._wall_counter.value += elapsed
-            self._latency_histogram.observe(elapsed)
-            if self.span_hook is not None:
-                self.span_hook(
-                    "engine.evaluate_neighbors",
-                    elapsed,
-                    {
-                        "runs": 1 + num_neighbors,
-                        "cache_hits": 0,
-                        "cache_misses": 1 + num_neighbors,
-                    },
-                )
-            return parent_result, by_bit
+            results[:] = [parent_result, *by_bit]
+            self._vectorized_counter.value += len(results)
+            return
+        # Deduplicate, and batch by layout: one horizon per kernel call.
+        groups: Dict[RunLayout, Dict[int, List[int]]] = {}
+        for index in pending:
+            row = rows[index]
+            if not isinstance(row, PackedRun):
+                # Off-layout: packing raises why the kernel cannot take it.
+                row = layout_for(topology, row.num_rounds).pack(row)
+            groups.setdefault(row.layout, {}).setdefault(row.bits, []).append(index)
+        for layout, by_bits in groups.items():
+            batch = RunBatch.from_bits(layout, by_bits)
+            batch_results = vectorized.evaluate_packed_batch(protocol, topology, batch)
+            self._vectorized_counter.value += len(by_bits)
+            for indices, result in zip(by_bits.values(), batch_results):
+                for index in indices:
+                    results[index] = result
 
     # -- scaled (parametric) evaluation --------------------------------
 
@@ -938,16 +838,11 @@ class Engine:
         """
         from ..meanfield import evaluate_spec
 
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "engine.evaluate_scaled",
-                protocol=protocol.name,
-                num_processes=spec.num_processes,
-            )
-        else:
-            span = tracer.span("engine.evaluate_scaled")
-        with span, self._evaluating():
+        with self._call(
+            "engine.evaluate_scaled",
+            protocol=protocol.name,
+            num_processes=spec.num_processes,
+        ):
             self._runs_counter.value += 1
             key = self.counter_cache_key(protocol, spec)
             if key is not None:
@@ -956,18 +851,9 @@ class Engine:
                     self._hit_counter.value += 1
                     return cached
                 self._miss_counter.value += 1
-            started = monotonic()
-            result = evaluate_spec(protocol, spec)
-            self._meanfield_counter.value += 1
-            elapsed = monotonic() - started
-            self._wall_counter.value += elapsed
-            self._latency_histogram.observe(elapsed)
-            if self.span_hook is not None:
-                self.span_hook(
-                    "engine.evaluate_scaled",
-                    elapsed,
-                    {"runs": 1, "cache_hits": 0, "cache_misses": 1},
-                )
+            with self._timed("engine.evaluate_scaled", runs=1, misses=1):
+                result = evaluate_spec(protocol, spec)
+                self._meanfield_counter.value += 1
             if key is not None:
                 while len(self._scaled_cache) >= SCALED_CACHE_SIZE:
                     self._scaled_cache.pop(next(iter(self._scaled_cache)))
@@ -987,24 +873,14 @@ class Engine:
         """Vectorized two-general ``E[L]``/``E[U]`` sweep for Protocol S."""
         from . import vectorized
 
-        with self.obs.tracer.span(
-            "engine.pair_weak_estimate",
-            protocol="S",
-            samples=samples,
-            num_rounds=num_rounds,
-        ):
-            started = monotonic()
-            try:
-                self._runs_counter.inc(samples)
-                self._vectorized_counter.inc(samples)
-                self._mc_trials_counter.inc(samples)
-                return vectorized.pair_protocol_s_weak_estimate(
-                    num_rounds, epsilon, loss_probability, samples, rng
-                )
-            finally:
-                elapsed = monotonic() - started
-                self._wall_counter.value += elapsed
-                self._latency_histogram.observe(elapsed)
+        return self._pair_weak_estimate(
+            "S",
+            num_rounds,
+            samples,
+            lambda: vectorized.pair_protocol_s_weak_estimate(
+                num_rounds, epsilon, loss_probability, samples, rng
+            ),
+        )
 
     def pair_weak_estimate_w(
         self,
@@ -1017,24 +893,34 @@ class Engine:
         """Vectorized two-general ``E[L]``/``E[U]`` sweep for Protocol W."""
         from . import vectorized
 
-        with self.obs.tracer.span(
+        return self._pair_weak_estimate(
+            "W",
+            num_rounds,
+            samples,
+            lambda: vectorized.pair_protocol_w_weak_estimate(
+                num_rounds, threshold, loss_probability, samples, rng
+            ),
+        )
+
+    def _pair_weak_estimate(
+        self,
+        protocol_name: str,
+        num_rounds: Round,
+        samples: int,
+        estimate: Callable[[], Any],
+    ) -> Any:
+        """Bookkeeping for one two-general Monte-Carlo sweep."""
+        with self._call(
             "engine.pair_weak_estimate",
-            protocol="W",
+            protocol=protocol_name,
             samples=samples,
             num_rounds=num_rounds,
         ):
-            started = monotonic()
-            try:
-                self._runs_counter.inc(samples)
-                self._vectorized_counter.inc(samples)
-                self._mc_trials_counter.inc(samples)
-                return vectorized.pair_protocol_w_weak_estimate(
-                    num_rounds, threshold, loss_probability, samples, rng
-                )
-            finally:
-                elapsed = monotonic() - started
-                self._wall_counter.value += elapsed
-                self._latency_histogram.observe(elapsed)
+            self._runs_counter.inc(samples)
+            self._vectorized_counter.inc(samples)
+            self._mc_trials_counter.inc(samples)
+            with self._timed("engine.pair_weak_estimate", samples, samples):
+                return estimate()
 
 
 _default_engine: Optional[Engine] = None

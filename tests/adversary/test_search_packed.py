@@ -1,13 +1,14 @@
-"""Packed search paths: parity with the legacy tuple-set paths.
+"""Packed search paths: parity with the legacy tuple-set drivers.
 
-The refactor's acceptance bar — ``exhaustive_search`` and
-``greedy_search`` must return bit-identical ``SearchResult`` values to
-the pre-refactor implementation.  The reference backend still runs the
-legacy code (per-Run ``_search_over`` scan, tuple-flip greedy loop),
-so these tests pit each packed path against it directly: same maxima,
-same witnesses, same ``runs_examined`` budgets, for both the unsafety
-objective (``U_s``) and the negated-liveness objective (``L(R)``
-minimization), on K2/K3/chain/star instances.
+``exhaustive_search`` and ``greedy_search`` run on packed runs on
+every backend.  The tuple-set drivers they replaced — the per-``Run``
+list scan and the tuple-flip hill-climb — live on below as oracles,
+evaluating through the reference simulator directly, so the packed
+paths are still checked against a separate implementation: same
+maxima, same witnesses, same ``runs_examined`` budgets on both the
+vectorized and the reference engine, for both the unsafety objective
+(``U_s``) and the negated-liveness objective (``L(R)`` minimization),
+on K2/K3/chain/star instances.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from repro.adversary.search import (
     negated_liveness_objective,
     unsafety_objective,
 )
-from repro.core.run import good_run, random_run, run_space_size
+from repro.adversary.strong import StrongAdversary
+from repro.core.packed import layout_for
+from repro.core.probability import evaluate
+from repro.core.run import (
+    all_message_tuples,
+    good_run,
+    random_run,
+    run_space_size,
+)
 from repro.core.topology import Topology
 from repro.engine import Engine
 from repro.protocols.protocol_s import ProtocolS
@@ -55,23 +64,67 @@ def ref_engine():
     return Engine(backend="reference")
 
 
+def legacy_exhaustive(protocol, topology, num_rounds, objective, fixed_inputs=None):
+    """The tuple list-scan driver: every ``Run``, first strict max wins."""
+    runs = list(
+        StrongAdversary(fixed_inputs=fixed_inputs).enumerate(topology, num_rounds)
+    )
+    best_value, best_run = float("-inf"), None
+    for run in runs:
+        value = objective(evaluate(protocol, topology, run))
+        if value > best_value:
+            best_value, best_run = value, run
+    return best_value, best_run, len(runs)
+
+
+def legacy_greedy(protocol, topology, num_rounds, seed_run, objective, max_passes=3):
+    """The tuple-flip hill-climb: message tuples in order, then inputs."""
+    all_tuples = all_message_tuples(topology, num_rounds)
+    current = seed_run
+    current_value = objective(evaluate(protocol, topology, current))
+    examined = 1
+    for _ in range(max_passes):
+        neighbors = [
+            current.removing(message)
+            if message in current.messages
+            else current.adding(message)
+            for message in all_tuples
+        ]
+        for process in topology.processes:
+            if process in current.inputs:
+                neighbors.append(current.with_inputs(current.inputs - {process}))
+            else:
+                neighbors.append(current.with_inputs(current.inputs | {process}))
+        examined += len(neighbors)
+        best_neighbor, best_value = None, current_value
+        for neighbor in neighbors:
+            value = objective(evaluate(protocol, topology, neighbor))
+            if value > best_value:
+                best_neighbor, best_value = neighbor, value
+        if best_neighbor is None:
+            break
+        current, current_value = best_neighbor, best_value
+    return current_value, current, examined
+
+
 class TestExhaustiveParity:
     @pytest.mark.parametrize("topology, num_rounds, protocol", INSTANCES)
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_packed_matches_legacy(
         self, topology, num_rounds, protocol, objective, vec_engine, ref_engine
     ):
-        packed = exhaustive_search(
-            protocol, topology, num_rounds, objective, engine=vec_engine
+        value, run, examined = legacy_exhaustive(
+            protocol, topology, num_rounds, objective
         )
-        legacy = exhaustive_search(
-            protocol, topology, num_rounds, objective, engine=ref_engine
-        )
-        assert packed.value == legacy.value
-        assert packed.run == legacy.run
-        assert packed.runs_examined == legacy.runs_examined
-        assert packed.certification == legacy.certification == "exact"
-        assert packed.reduction_factor is None
+        for engine in (vec_engine, ref_engine):
+            packed = exhaustive_search(
+                protocol, topology, num_rounds, objective, engine=engine
+            )
+            assert packed.value == value
+            assert packed.run == run
+            assert packed.runs_examined == examined
+            assert packed.certification == "exact"
+            assert packed.reduction_factor is None
 
     @pytest.mark.parametrize("topology, num_rounds, protocol", INSTANCES)
     @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -170,29 +223,57 @@ class TestGreedyParity:
         seeds = [good_run(topology, num_rounds)]
         seeds.extend(random_run(topology, num_rounds, rng) for _ in range(3))
         for seed in seeds:
-            incremental = greedy_search(
-                protocol, topology, num_rounds, seed, objective,
-                engine=vec_engine,
+            value, run, examined = legacy_greedy(
+                protocol, topology, num_rounds, seed, objective
             )
-            legacy = greedy_search(
-                protocol, topology, num_rounds, seed, objective,
-                engine=ref_engine,
-            )
-            assert incremental.value == legacy.value
-            assert incremental.run == legacy.run
-            assert incremental.runs_examined == legacy.runs_examined
+            for engine in (vec_engine, ref_engine):
+                result = greedy_search(
+                    protocol, topology, num_rounds, seed, objective,
+                    engine=engine,
+                )
+                assert result.value == value
+                assert result.run == run
+                assert result.runs_examined == examined
 
     def test_incremental_path_is_taken(self, vec_engine):
-        assert vec_engine.supports_incremental(ProtocolW(2), K3)
         result = greedy_search(
             ProtocolW(2), K3, 2, good_run(K3, 2), engine=vec_engine
         )
+        assert vec_engine.stats.vectorized_evaluations > 0
         # One seed evaluation plus max_passes full neighborhoods, where
         # a neighborhood is every single-bit flip of the packed run.
-        from repro.core.packed import layout_for
-
         num_bits = layout_for(K3, 2).num_bits
         assert (result.runs_examined - 1) % num_bits == 0
 
     def test_reference_backend_has_no_incremental(self, ref_engine):
-        assert not ref_engine.supports_incremental(ProtocolW(2), K3)
+        greedy_search(ProtocolW(2), K3, 2, good_run(K3, 2), engine=ref_engine)
+        assert ref_engine.stats.vectorized_evaluations == 0
+
+    def test_runs_evaluated_match_across_backends(self, vec_engine, ref_engine):
+        # Every pass requests the current run and its whole
+        # neighborhood on either backend.
+        protocol, num_rounds = ProtocolS(epsilon=0.25), 4
+        num_bits = layout_for(PAIR, num_rounds).num_bits
+        results = [
+            greedy_search(
+                protocol, PAIR, num_rounds, good_run(PAIR, num_rounds),
+                engine=engine,
+            )
+            for engine in (vec_engine, ref_engine)
+        ]
+        passes = (results[0].runs_examined - 1) // num_bits
+        assert passes >= 2
+        assert results[0] == results[1]
+        assert (
+            ref_engine.stats.runs_evaluated
+            == vec_engine.stats.runs_evaluated
+            == passes * (1 + num_bits)
+        )
+
+    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    def test_seed_must_fit_the_horizon(self, backend):
+        with pytest.raises(ValueError, match="horizon"):
+            greedy_search(
+                ProtocolS(epsilon=0.25), PAIR, 2, good_run(PAIR, 3),
+                engine=Engine(backend=backend),
+            )

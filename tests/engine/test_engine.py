@@ -58,7 +58,7 @@ class TestBackends:
         assert engine.stats.vectorized_evaluations == 1
 
     def test_auto_backend_respects_batch_threshold(self):
-        engine = Engine(backend="auto", min_vectorized_batch=8)
+        engine = Engine(backend="auto")
         protocol = ProtocolS(epsilon=0.25)
         engine.evaluate_many(protocol, PAIR, _runs(count=4))
         assert engine.stats.vectorized_evaluations == 0

@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from repro import meanfield
 from repro.core.run import good_run, round_cut_run
 from repro.core.topology import Topology
 from repro.engine import Engine
@@ -128,10 +129,7 @@ class TestScaledPath:
         assert engine.stats.cache_hits == 0
 
     def test_supports_meanfield_probe(self):
-        engine = Engine()
         complete = Topology.complete(4)
-        assert engine.supports_meanfield(ProtocolW(2), complete)
-        assert engine.supports_meanfield(ProtocolM(quorum=0.5), complete)
-        assert not engine.supports_meanfield(
-            ProtocolW(2), Topology.ring(4)
-        )
+        assert meanfield.supports(ProtocolW(2), complete)
+        assert meanfield.supports(ProtocolM(quorum=0.5), complete)
+        assert not meanfield.supports(ProtocolW(2), Topology.ring(4))
