@@ -67,7 +67,7 @@ from typing import (
     cast,
 )
 
-from ..core.packed import PackedRun, RunBatch, RunLayout, layout_for
+from ..core.packed import PackedRun, RunBatch, RunLayout
 from ..core.probability import (
     DEFAULT_ENUMERATION_LIMIT,
     DEFAULT_TRIALS,
@@ -157,7 +157,7 @@ def _keyed_rows(
         rows = []
         for run in runs:
             try:
-                rows.append(layout_for(topology, run.num_rounds).pack(run))
+                rows.append(PackedRun.from_run(topology, run))
             except ValueError:
                 rows.append(run)  # off-layout: keyed and evaluated as itself
     try:
@@ -811,10 +811,10 @@ class Engine:
             row = rows[index]
             if not isinstance(row, PackedRun):
                 # Off-layout: packing raises why the kernel cannot take it.
-                row = layout_for(topology, row.num_rounds).pack(row)
+                row = PackedRun.from_run(topology, row)
             groups.setdefault(row.layout, {}).setdefault(row.bits, []).append(index)
         for layout, by_bits in groups.items():
-            batch = RunBatch.from_bits(layout, by_bits)
+            batch = RunBatch.from_bits(layout, by_bits.keys())
             batch_results = vectorized.evaluate_packed_batch(protocol, topology, batch)
             self._vectorized_counter.value += len(by_bits)
             for indices, result in zip(by_bits.values(), batch_results):

@@ -1,7 +1,7 @@
-"""Packed search paths: parity with the legacy tuple-set drivers.
+"""Packed search paths: parity with the legacy tuple-set searches.
 
 ``exhaustive_search`` and ``greedy_search`` run on packed runs on
-every backend.  The tuple-set drivers they replaced — the per-``Run``
+every backend.  The tuple-set searches they replaced — the per-``Run``
 list scan and the tuple-flip hill-climb — live on below as oracles,
 evaluating through the reference simulator directly, so the packed
 paths are still checked against a separate implementation: same
@@ -65,7 +65,7 @@ def ref_engine():
 
 
 def legacy_exhaustive(protocol, topology, num_rounds, objective, fixed_inputs=None):
-    """The tuple list-scan driver: every ``Run``, first strict max wins."""
+    """The tuple list-scan search: every ``Run``, first strict max wins."""
     runs = list(
         StrongAdversary(fixed_inputs=fixed_inputs).enumerate(topology, num_rounds)
     )
