@@ -105,6 +105,26 @@ class TestEngineTracing:
         assert names == ["engine.evaluate_many"]
         assert engine.obs.tracer.spans[0].attributes["runs"] == 8
 
+    def test_spans_record_the_routed_backend(self):
+        import random
+
+        runs = [
+            bernoulli_run(PAIR, 4, 0.5, random.Random(seed)) for seed in range(10)
+        ]
+        protocol = ProtocolS(epsilon=0.25)
+        auto = _traced_engine(backend="auto")
+        auto.evaluate_many(protocol, PAIR, runs[:2])
+        # Routed on its misses: the two cached runs leave eight.
+        auto.evaluate_many(protocol, PAIR, runs)
+        assert [span.attributes["backend"] for span in auto.obs.tracer.spans] == [
+            "reference",
+            "vectorized",
+        ]
+        reference = _traced_engine(backend="reference")
+        reference.evaluate(protocol, PAIR, runs[0])
+        (span,) = reference.obs.tracer.spans
+        assert span.attributes["backend"] == "reference"
+
     def test_exec_trace_records_rounds_and_decisions(self):
         engine = _traced_engine(exec_trace=True)
         num_rounds = 4
