@@ -25,6 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .events import OutcomeCounts, classify, Outcome
 from .execution import decide
 from .protocol import ClosedFormProtocol, Protocol
@@ -97,6 +99,80 @@ class EventProbabilities:
         ]
         pairs.extend(zip(self.pr_attack, other.pr_attack))
         return all(abs(a - b) <= tolerance for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """:class:`EventProbabilities` for a batch of runs, one column per field.
+
+    Entry ``i`` of each float64 column belongs to run ``i`` of the
+    batch; ``pr_attack`` has shape ``(n, m)``.  The arrays are frozen
+    (numpy ``writeable=False``): the vectorized kernel that builds them
+    is a memo-cacheable function, so its results must be immutable
+    values.  This is the one place rows are built from columns
+    (:meth:`rows`) and columns from rows (:meth:`from_rows`).
+    """
+
+    pr_total_attack: np.ndarray
+    pr_no_attack: np.ndarray
+    pr_partial_attack: np.ndarray
+    pr_attack: np.ndarray
+    method: str
+    trials: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for column in (
+            self.pr_total_attack,
+            self.pr_no_attack,
+            self.pr_partial_attack,
+            self.pr_attack,
+        ):
+            column.setflags(write=False)
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[EventProbabilities], num_processes: int
+    ) -> "EventColumns":
+        """Stack rows that share one method (an evaluated batch's)."""
+        method = rows[0].method if rows else "closed-form"
+        trials = rows[0].trials if rows else None
+        if any(row.method != method or row.trials != trials for row in rows):
+            raise ValueError("stacked rows must share one method and trials")
+        return cls(
+            pr_total_attack=np.array(
+                [row.pr_total_attack for row in rows], dtype=np.float64
+            ),
+            pr_no_attack=np.array(
+                [row.pr_no_attack for row in rows], dtype=np.float64
+            ),
+            pr_partial_attack=np.array(
+                [row.pr_partial_attack for row in rows], dtype=np.float64
+            ),
+            pr_attack=np.array(
+                [row.pr_attack for row in rows], dtype=np.float64
+            ).reshape(len(rows), num_processes),
+            method=method,
+            trials=trials,
+        )
+
+    def rows(self) -> List[EventProbabilities]:
+        """One :class:`EventProbabilities` per run, in batch order."""
+        return [
+            EventProbabilities(
+                pr_total_attack=pr_ta,
+                pr_no_attack=pr_na,
+                pr_partial_attack=pr_pa,
+                pr_attack=tuple(pr_attack),
+                method=self.method,
+                trials=self.trials,
+            )
+            for pr_ta, pr_na, pr_pa, pr_attack in zip(
+                self.pr_total_attack.tolist(),
+                self.pr_no_attack.tolist(),
+                self.pr_partial_attack.tolist(),
+                self.pr_attack.tolist(),
+            )
+        ]
 
 
 def exact_probabilities(

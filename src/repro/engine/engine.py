@@ -71,6 +71,7 @@ from ..core.packed import PackedRun, RunBatch, RunLayout
 from ..core.probability import (
     DEFAULT_ENUMERATION_LIMIT,
     DEFAULT_TRIALS,
+    EventColumns,
     EventProbabilities,
     evaluate,
 )
@@ -573,7 +574,7 @@ class Engine:
         enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
     ) -> EventProbabilities:
         """Cached scalar evaluation (reference semantics): a one-run batch."""
-        return self._pipeline(
+        results = self._pipeline(
             "engine.evaluate",
             protocol,
             topology,
@@ -582,7 +583,8 @@ class Engine:
             trials,
             rng,
             enumeration_limit,
-        )[0]
+        )
+        return cast(List[EventProbabilities], results)[0]
 
     def evaluate_many(
         self,
@@ -602,7 +604,7 @@ class Engine:
         change how fast the answers arrive.
         """
         runs = list(runs)
-        return self._pipeline(
+        results = self._pipeline(
             "engine.evaluate_many",
             protocol,
             topology,
@@ -613,6 +615,7 @@ class Engine:
             enumeration_limit,
             runs=len(runs),
         )
+        return cast(List[EventProbabilities], results)
 
     def evaluate_packed_many(
         self,
@@ -621,21 +624,21 @@ class Engine:
         batch: RunBatch,
         method: str = "auto",
         trials: int = DEFAULT_TRIALS,
-    ) -> List[EventProbabilities]:
-        """Evaluate a :class:`RunBatch`, packed end-to-end when possible.
+    ) -> EventColumns:
+        """Evaluate a :class:`RunBatch` as result columns, in batch order.
 
-        When the vectorized kernel takes the batch, its words feed the
-        kernel directly — no ``Run`` objects exist at any point — and
-        the memo cache is bypassed: the bulk callers (exhaustive
-        sweeps) visit each run exactly once, so per-run memo traffic
-        would only add overhead and evict genuinely reusable entries.
-        On any other backend the batch is cached and evaluated like
-        :meth:`evaluate_many` over its unpacked runs, so the call is
-        total either way and results are bit-identical across paths.
+        The bulk entry point of the exhaustive sweeps.  When the
+        vectorized kernel takes the batch, its words feed the kernel
+        directly and its columns are the answer — no ``Run`` and no
+        per-run result object exists at any point — and the memo cache
+        is bypassed: a sweep visits each run exactly once, so per-run
+        memo traffic would only add overhead and evict genuinely
+        reusable entries.  On any other backend the batch is cached and
+        evaluated like :meth:`evaluate_many` over its unpacked runs and
+        the rows are stacked, so the call is total either way and the
+        columns are bit-identical across backends.
         """
-        if len(batch) == 0:
-            return []
-        return self._pipeline(
+        results = self._pipeline(
             "engine.evaluate_packed_many",
             protocol,
             topology,
@@ -644,6 +647,9 @@ class Engine:
             trials,
             runs=len(batch),
         )
+        if isinstance(results, EventColumns):
+            return results
+        return EventColumns.from_rows(results, topology.num_processes)
 
     def evaluate_neighbors(
         self,
@@ -665,14 +671,17 @@ class Engine:
         memoized under the packed cache keys.  On any other backend
         the parent and its neighbors are one cached batch.
         """
-        results = self._pipeline(
-            "engine.evaluate_neighbors",
-            protocol,
-            topology,
-            parent,
-            method,
-            trials,
-            neighbors=parent.layout.num_bits,
+        results = cast(
+            List[EventProbabilities],
+            self._pipeline(
+                "engine.evaluate_neighbors",
+                protocol,
+                topology,
+                parent,
+                method,
+                trials,
+                neighbors=parent.layout.num_bits,
+            ),
         )
         return results[0], results[1:]
 
@@ -687,7 +696,7 @@ class Engine:
         rng: Optional[random.Random] = None,
         enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
         **attributes: Any,
-    ) -> List[EventProbabilities]:
+    ) -> Union[List[EventProbabilities], EventColumns]:
         """Evaluate ``source`` in order: the one path behind every method.
 
         ``source`` is one run (a scalar call), a list of runs, a
@@ -703,8 +712,9 @@ class Engine:
         or a neighborhood — so it is routed before any lookup, and the
         kernel takes it whole without one.  A neighborhood still stores
         its results for later calls; a sweep, whose runs are never
-        revisited, stores nothing.  Any other backend meets the cache
-        with packed input as with any batch.
+        revisited, stores nothing and returns the kernel's columns.
+        Every other source returns one result per run.  Any other
+        backend meets the cache with packed input as with any batch.
         """
         runs = [source] if isinstance(source, Run) else source
         size = 1 + runs.layout.num_bits if isinstance(runs, PackedRun) else len(runs)
@@ -733,6 +743,16 @@ class Engine:
                     pending = self._lookup(keys, results)
             with self._timed(operation, size, len(pending)):
                 if route == "vectorized":
+                    if isinstance(runs, RunBatch):
+                        # A sweep the kernel takes whole: its columns are
+                        # the answer, and nothing is stored.
+                        from . import vectorized
+
+                        columns = vectorized.evaluate_packed_batch(
+                            protocol, topology, runs
+                        )
+                        self._vectorized_counter.value += size
+                        return columns
                     self._kernel(protocol, topology, runs, rows, pending, results)
                 else:
                     # In order, so Monte-Carlo runs consume the rng as
@@ -769,12 +789,11 @@ class Engine:
                         if key is not None and result.is_exact():
                             done[key] = result
                         results[index] = result
-                if keys:  # a sweep the kernel took whole stores nothing
-                    assert self.cache is not None
-                    for index in pending:
-                        key, stored = keys[index], results[index]
-                        if key is not None and stored is not None and stored.is_exact():
-                            self.cache.put(key, stored)
+                assert self.cache is not None
+                for index in pending:
+                    key, stored = keys[index], results[index]
+                    if key is not None and stored is not None and stored.is_exact():
+                        self.cache.put(key, stored)
             if isinstance(source, Run) and pending and self.obs.exec_trace:
                 if self.obs.tracer.enabled:
                     from ..obs.exec_trace import trace_execution
@@ -786,7 +805,7 @@ class Engine:
         self,
         protocol: Protocol,
         topology: Topology,
-        runs: Union[List[Run], RunBatch, PackedRun],
+        runs: Union[List[Run], PackedRun],
         rows: List[_Row],
         pending: Sequence[int],
         results: List[Optional[EventProbabilities]],
@@ -794,10 +813,6 @@ class Engine:
         """Fill ``results[pending]`` from the vectorized kernel."""
         from . import vectorized
 
-        if isinstance(runs, RunBatch):
-            results[:] = vectorized.evaluate_packed_batch(protocol, topology, runs)
-            self._vectorized_counter.value += len(runs)
-            return
         if isinstance(runs, PackedRun):
             parent_result, by_bit = vectorized.evaluate_neighbor_batch(
                 protocol, topology, runs
@@ -815,9 +830,9 @@ class Engine:
             groups.setdefault(row.layout, {}).setdefault(row.bits, []).append(index)
         for layout, by_bits in groups.items():
             batch = RunBatch.from_bits(layout, by_bits.keys())
-            batch_results = vectorized.evaluate_packed_batch(protocol, topology, batch)
+            columns = vectorized.evaluate_packed_batch(protocol, topology, batch)
             self._vectorized_counter.value += len(by_bits)
-            for indices, result in zip(by_bits.values(), batch_results):
+            for indices, result in zip(by_bits.values(), columns.rows()):
                 for index in indices:
                     results[index] = result
 

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..core.packed import PackedRun, RunBatch, layout_for
-from ..core.probability import EventProbabilities
+from ..core.probability import EventColumns, EventProbabilities
 from ..core.protocol import Protocol
 from ..core.run import Run
 from ..core.topology import Topology
@@ -311,56 +311,39 @@ def simulate_counting_history(
 # ----------------------------------------------------------------------
 
 
-def _protocol_s_results(
+def _protocol_s_columns(
     counts: np.ndarray, rknown: np.ndarray, epsilon: float
-) -> List[EventProbabilities]:
+) -> EventColumns:
     """Protocol S probabilities from batch counts — transcribed
     operation-for-operation from ``ProtocolS.closed_form_probabilities``
+    (``min``/``max`` become ``np.minimum``/``np.maximum`` over columns)
     so the floats match the reference bit-for-bit."""
     t = 1.0 / epsilon
     thresholds = np.where(rknown, counts, np.int64(0))
-    results: List[EventProbabilities] = []
-    for row in thresholds:
-        ordered = [int(a) for a in row]
-        low = min(ordered)
-        high = max(ordered)
-        pr_ta = min(1.0, low / t)
-        pr_na = max(0.0, 1.0 - high / t)
-        pr_pa = max(0.0, 1.0 - pr_ta - pr_na)
-        results.append(
-            EventProbabilities(
-                pr_total_attack=pr_ta,
-                pr_no_attack=pr_na,
-                pr_partial_attack=pr_pa,
-                pr_attack=tuple(min(1.0, a / t) for a in ordered),
-                method="closed-form",
-            )
-        )
-    return results
+    pr_ta = np.minimum(1.0, thresholds.min(axis=1) / t)
+    pr_na = np.maximum(0.0, 1.0 - thresholds.max(axis=1) / t)
+    pr_pa = np.maximum(0.0, 1.0 - pr_ta - pr_na)
+    return EventColumns(
+        pr_total_attack=pr_ta,
+        pr_no_attack=pr_na,
+        pr_partial_attack=pr_pa,
+        pr_attack=np.minimum(1.0, thresholds / t),
+        method="closed-form",
+    )
 
 
-def _protocol_w_results(
-    counts: np.ndarray, threshold: int
-) -> List[EventProbabilities]:
+def _protocol_w_columns(counts: np.ndarray, threshold: int) -> EventColumns:
     """Protocol W probabilities (deterministic 0/1) from batch counts."""
     attacks = counts >= threshold
-    results: List[EventProbabilities] = []
-    for row in attacks:
-        outputs = [bool(decided) for decided in row]
-        all_attack = all(outputs)
-        none_attack = not any(outputs)
-        results.append(
-            EventProbabilities(
-                pr_total_attack=1.0 if all_attack else 0.0,
-                pr_no_attack=1.0 if none_attack else 0.0,
-                pr_partial_attack=(
-                    1.0 if not (all_attack or none_attack) else 0.0
-                ),
-                pr_attack=tuple(1.0 if decided else 0.0 for decided in outputs),
-                method="closed-form",
-            )
-        )
-    return results
+    all_attack = attacks.all(axis=1)
+    none_attack = ~attacks.any(axis=1)
+    return EventColumns(
+        pr_total_attack=all_attack.astype(np.float64),
+        pr_no_attack=none_attack.astype(np.float64),
+        pr_partial_attack=(~(all_attack | none_attack)).astype(np.float64),
+        pr_attack=attacks.astype(np.float64),
+        method="closed-form",
+    )
 
 
 def supports(protocol: Protocol, topology: Topology) -> bool:
@@ -384,16 +367,13 @@ def supports(protocol: Protocol, topology: Topology) -> bool:
 
 def _protocol_kernel(
     protocol: Protocol,
-) -> Tuple[
-    bool,
-    ProcessId,
-    Callable[[np.ndarray, np.ndarray], List[EventProbabilities]],
-]:
+) -> Tuple[bool, ProcessId, Callable[[np.ndarray, np.ndarray], EventColumns]]:
     """Dispatch a supported protocol to its kernel configuration.
 
     Returns ``(rfire_gated, coordinator, finisher)`` where ``finisher``
-    maps the final ``(counts, rknown)`` arrays to per-run exact
-    probabilities.  Raises ``ValueError`` for unsupported protocols.
+    maps the final ``(counts, rknown)`` arrays to the batch's exact
+    probabilities as columns.  Raises ``ValueError`` for unsupported
+    protocols.
     """
     from ..protocols.protocol_s import ProtocolS
     from ..protocols.weak_adversary import ProtocolW
@@ -401,19 +381,15 @@ def _protocol_kernel(
     if type(protocol) is ProtocolS:
         epsilon = protocol.epsilon
 
-        def finish_s(
-            counts: np.ndarray, rknown: np.ndarray
-        ) -> List[EventProbabilities]:
-            return _protocol_s_results(counts, rknown, epsilon)
+        def finish_s(counts: np.ndarray, rknown: np.ndarray) -> EventColumns:
+            return _protocol_s_columns(counts, rknown, epsilon)
 
         return True, protocol.coordinator, finish_s
     if type(protocol) is ProtocolW:
         threshold = protocol.threshold
 
-        def finish_w(
-            counts: np.ndarray, rknown: np.ndarray
-        ) -> List[EventProbabilities]:
-            return _protocol_w_results(counts, threshold)
+        def finish_w(counts: np.ndarray, rknown: np.ndarray) -> EventColumns:
+            return _protocol_w_columns(counts, threshold)
 
         return False, 1, finish_w
     raise ValueError(
@@ -430,23 +406,23 @@ def evaluate_batch(
         return []
     num_rounds = runs[0].num_rounds
     batch = RunBatch.from_runs(topology, num_rounds, runs)
-    return evaluate_packed_batch(protocol, topology, batch)
+    return evaluate_packed_batch(protocol, topology, batch).rows()
 
 
 def evaluate_packed_batch(
     protocol: Protocol, topology: Topology, batch: RunBatch
-) -> List[EventProbabilities]:
+) -> EventColumns:
     """Evaluate a :class:`RunBatch` directly — no per-run unpacking.
 
     The packed words are the wire form all the way from enumeration:
     tensors come out of :meth:`RunBatch.tensors` as one bit-extraction
-    pass and feed the counting kernel unchanged, so the results are
-    bit-identical to :func:`evaluate_batch` over the unpacked runs.
+    pass and feed the counting kernel unchanged, and the results stay
+    columns, so no per-run Python object exists at any point.  Their
+    :meth:`~repro.core.probability.EventColumns.rows` are bit-identical
+    to :func:`evaluate_batch` over the unpacked runs.
     """
     if batch.layout.topology != topology:
         raise ValueError("batch layout does not match the topology")
-    if len(batch) == 0:
-        return []
     rfire_gated, coordinator, finish = _protocol_kernel(protocol)
     delivered, inputs = batch.tensors()
     counts, rknown = simulate_counting_batch(
@@ -485,7 +461,7 @@ def evaluate_neighbor_batch(
     states = simulate_counting_history(
         topology, delivered, inputs, rfire_gated, coordinator
     )
-    parent_result = finish(states[-1].count, states[-1].rknown)[0]
+    parent_result = finish(states[-1].count, states[-1].rknown).rows()[0]
     by_bit: List[EventProbabilities] = [parent_result] * layout.num_bits
 
     # Input-bit neighbors: the flip changes the initial state, so the
@@ -499,8 +475,7 @@ def evaluate_neighbor_batch(
         rfire_gated,
         coordinator,
     )
-    for process_index, result in enumerate(finish(counts, rknown)):
-        by_bit[process_index] = result
+    by_bit[:m] = finish(counts, rknown).rows()
 
     # Message-bit neighbors, grouped by round: resume the L round-q
     # lanes from the parent's pre-round-q state and advance the
@@ -512,10 +487,10 @@ def evaluate_neighbor_batch(
         resumed = _advance_rounds(
             plan, suffix, states[flip_round - 1].tiled(num_links), rfire_gated
         )
-        results = finish(resumed.count, resumed.rknown)
         base = m + (flip_round - 1) * num_links
-        for link_index, result in enumerate(results):
-            by_bit[base + link_index] = result
+        by_bit[base : base + num_links] = finish(
+            resumed.count, resumed.rknown
+        ).rows()
     return parent_result, by_bit
 
 

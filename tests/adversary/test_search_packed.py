@@ -8,7 +8,8 @@ paths are still checked against a separate implementation: same
 maxima, same witnesses, same ``runs_examined`` budgets on both the
 vectorized and the reference engine, for both the unsafety objective
 (``U_s``) and the negated-liveness objective (``L(R)`` minimization),
-on K2/K3/chain/star instances.
+on K2/K3/chain/star instances, on sweeps spanning many kernel batches,
+and on a two-word layout past the single-word array enumeration.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 
 import pytest
 
+from repro.adversary import search
 from repro.adversary.search import (
     exhaustive_search,
     greedy_search,
@@ -24,7 +26,7 @@ from repro.adversary.search import (
     unsafety_objective,
 )
 from repro.adversary.strong import StrongAdversary
-from repro.core.packed import layout_for
+from repro.core.packed import enumerate_orbit_representatives, layout_for
 from repro.core.probability import evaluate
 from repro.core.run import (
     all_message_tuples,
@@ -196,6 +198,75 @@ class TestExhaustiveParity:
         assert result.runs_examined == run_space_size(
             PAIR, 3, fixed_inputs=False
         )
+
+    @pytest.mark.parametrize(
+        "protocol, expected", [(ProtocolS(epsilon=0.25), 0.25), (ProtocolW(1), 0.0)]
+    )
+    def test_wide_layout_streams_onto_the_kernel(
+        self, protocol, expected, vec_engine, ref_engine
+    ):
+        # 62 processes with all inputs fixed and one edge over 2 rounds:
+        # a 66-bit, two-word layout of 16 runs, past the single-word
+        # array enumeration, that the kernel still evaluates.
+        topology = Topology(62, ((1, 2),))
+        fixed = frozenset(topology.processes)
+        assert layout_for(topology, 2).num_words == 2
+        value, run, examined = legacy_exhaustive(
+            protocol, topology, 2, unsafety_objective, fixed_inputs=fixed
+        )
+        assert (value, examined) == (expected, 16)
+        for engine in (vec_engine, ref_engine):
+            result = exhaustive_search(
+                protocol, topology, 2, fixed_inputs=fixed, engine=engine
+            )
+            assert result.value == value
+            assert result.run == run
+            assert result.runs_examined == examined
+        assert vec_engine.stats.vectorized_evaluations == examined
+        assert ref_engine.stats.vectorized_evaluations == 0
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_first_maximizer_across_batches(
+        self, objective, vec_engine, monkeypatch
+    ):
+        # With 24-run batches these spaces span many kernel batches and
+        # orbit-reduction slices, so the strict ``>`` across batches and
+        # the re-chunking of each slice's survivors decide the witness.
+        monkeypatch.setattr(search, "EXHAUSTIVE_CHUNK", 24)
+        for protocol in (ProtocolS(epsilon=0.25), ProtocolW(2)):
+            value, run, examined = legacy_exhaustive(protocol, PAIR, 3, objective)
+            result = exhaustive_search(
+                protocol, PAIR, 3, objective, engine=vec_engine
+            )
+            assert (result.value, result.run, result.runs_examined) == (
+                value,
+                run,
+                examined,
+            )
+        protocol = ProtocolW(2)
+        representatives = [
+            packed.unpack()
+            for packed, _ in enumerate_orbit_representatives(K3, 1, ())
+        ]
+        values = [
+            objective(evaluate(protocol, K3, run)) for run in representatives
+        ]
+        best = max(values)
+        reduced = exhaustive_search(
+            protocol, K3, 1, objective, engine=vec_engine, symmetry_reduction=True
+        )
+        assert reduced.value == best
+        assert reduced.run == representatives[values.index(best)]
+        assert reduced.runs_examined == len(representatives)
+
+    def test_objective_must_be_elementwise(self, vec_engine):
+        def peak(result):
+            return float(result.pr_partial_attack.max())
+
+        with pytest.raises(TypeError, match="not elementwise"):
+            exhaustive_search(
+                ProtocolS(epsilon=0.25), PAIR, 2, peak, engine=vec_engine
+            )
 
     def test_limit_guard_still_raises(self, vec_engine):
         with pytest.raises(ValueError, match="enumeration limit"):
