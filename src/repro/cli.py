@@ -50,7 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .adversary.search import worst_case_unsafety
 from .analysis.report import Table
@@ -431,6 +431,9 @@ def _cmd_scale_sweep(args) -> int:
         ),
     )
     needs_coordinator = type(protocol) is ProtocolS
+    # The class-uniform family cannot straddle W's threshold, so its
+    # maximum (0) says nothing about U_s(W) = 1 (DESIGN.md section 15).
+    certified = type(protocol) is not ProtocolW
     with obs.tracer.span(
         "cli.scale_sweep", protocol=protocol.name, points=len(counts)
     ):
@@ -446,9 +449,11 @@ def _cmd_scale_sweep(args) -> int:
                         distinguished=needs_coordinator,
                     ),
                 )
-                worst, _ = unsafety_family(
-                    protocol, num_processes, args.rounds, engine=engine
-                )
+                worst: Union[float, str] = "not certified"
+                if certified:
+                    worst, _ = unsafety_family(
+                        protocol, num_processes, args.rounds, engine=engine
+                    )
             except CounterAbstractionError as error:
                 print(f"m={num_processes}: {error}", file=sys.stderr)
                 return 1

@@ -244,6 +244,23 @@ class TestMeanfieldCommands:
         assert "counter abstraction" in out
         assert "meanfield evaluations" in out
 
+    def test_scale_sweep_does_not_certify_protocol_w(self, capsys):
+        # U_s(W) = 1, but the class-uniform family can only reach 0 on
+        # W: printing that 0 as the family maximum would be vacuous.
+        code = main(
+            ["scale-sweep", "--processes", "10^3,10^6", "--protocol", "W:2",
+             "--rounds", "6"]
+        )
+        assert code == 0
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["1000"], ["1000000"])
+        ]
+        assert len(rows) == 2
+        for row in rows:
+            assert row[2:4] == ["not", "certified"]
+
     def test_scale_sweep_rejects_incompatible_protocol(self, capsys):
         code = main(
             ["scale-sweep", "--processes", "100", "--protocol", "A",
