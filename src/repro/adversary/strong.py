@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..core.packed import PackedRun, enumerate_packed_runs
+from ..core.packed import RunBatch, packed_run_batches
 from ..core.run import Run, enumerate_runs, run_space_size
 from ..core.topology import Topology
 from ..core.types import Round
@@ -73,13 +73,15 @@ class StrongAdversary(Adversary):
         topology: Topology,
         num_rounds: Round,
         limit: int = DEFAULT_ENUMERATION_LIMIT,
-    ) -> Iterator[PackedRun]:
-        """Packed-native enumeration: each run is one integer bitmask.
+        chunk: int = 4_096,
+    ) -> Iterator[RunBatch]:
+        """Packed-native enumeration, in batches of ``chunk`` runs.
 
-        Same guard and same counter order as :meth:`enumerate`
-        (that method now unpacks exactly this stream), but the runs
-        stay packed — the exhaustive search batches them straight into
-        :class:`~repro.core.packed.RunBatch` arrays for the kernel.
+        Same guard and same counter order as :meth:`enumerate`, but the
+        runs stay packed: each batch is a
+        :class:`~repro.core.packed.RunBatch` the exhaustive search hands
+        straight to the kernel (see
+        :func:`~repro.core.packed.packed_run_batches`).
         """
         total = self.size(topology, num_rounds)
         if total > limit:
@@ -87,4 +89,6 @@ class StrongAdversary(Adversary):
                 f"strong adversary has {total} runs here, above the "
                 f"enumeration limit of {limit}; use repro.adversary.search"
             )
-        return enumerate_packed_runs(topology, num_rounds, self.fixed_inputs)
+        return packed_run_batches(
+            topology, num_rounds, self.fixed_inputs, chunk
+        )

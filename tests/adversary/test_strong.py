@@ -43,3 +43,15 @@ class TestEnumeration:
         adversary = StrongAdversary()
         for run in adversary.enumerate(pair, 1):
             assert adversary.contains(pair, run)
+
+    def test_packed_batches_unpack_to_enumerate(self, pair):
+        adversary = StrongAdversary(fixed_inputs=frozenset([2]))
+        batches = list(adversary.enumerate_packed(pair, 2, chunk=5))
+        assert [len(batch) for batch in batches] == [5, 5, 5, 1]
+        assert [run for batch in batches for run in batch.to_runs()] == list(
+            adversary.enumerate(pair, 2)
+        )
+
+    def test_packed_enumeration_respects_limit(self, pair):
+        with pytest.raises(ValueError, match="above the"):
+            StrongAdversary().enumerate_packed(pair, 2, limit=10)

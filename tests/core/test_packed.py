@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.packed import (
-    PackedRun,
     RunBatch,
     canonical_bits,
     enumerate_orbit_representatives,
@@ -34,6 +33,7 @@ from repro.core.packed import (
     layout_for,
     orbit_reduce,
     orbit_tables,
+    packed_run_batches,
     packed_run_space,
 )
 from repro.core.run import (
@@ -125,6 +125,26 @@ class TestEnumeration:
             topology, num_rounds, fixed_inputs=True
         )
         assert all(p.unpack().inputs == fixed for p in fixed_runs)
+
+    @pytest.mark.parametrize(
+        "topology, num_rounds, inputs",
+        [
+            (PAIR, 3, None),
+            (K3, 1, frozenset({1, 3})),
+            # 62 + 2 = 64 bits: too wide for one word, packed lazily.
+            (Topology(62, ((1, 2),)), 1, frozenset({1})),
+        ],
+    )
+    def test_batches_follow_counter_order(self, topology, num_rounds, inputs):
+        batches = list(packed_run_batches(topology, num_rounds, inputs, chunk=3))
+        assert all(len(batch) == 3 for batch in batches[:-1])
+        assert 1 <= len(batches[-1]) <= 3
+        assert [
+            batch.bits(i) for batch in batches for i in range(len(batch))
+        ] == [
+            packed.bits
+            for packed in enumerate_packed_runs(topology, num_rounds, inputs)
+        ]
 
     def test_unpacked_enumeration_delegates_to_packed_order(self):
         packed = enumerate_packed_runs(PAIR, 2)
