@@ -16,7 +16,7 @@ those theorems relate the measures to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from ..core.measures import level_profile, modified_level_profile
 from ..core.probability import (
