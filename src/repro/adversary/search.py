@@ -41,15 +41,20 @@ import numpy as np
 
 from ..core.packed import (
     MAX_VECTOR_ORBIT_BITS,
+    PackedRun,
     RunBatch,
     enumerate_orbit_representatives,
     layout_for,
     orbit_representatives,
     orbit_tables,
+    random_bits,
 )
 from ..core.probability import EventColumns, EventProbabilities
 from ..core.protocol import Protocol
-from ..core.run import Run, random_run, run_space_size
+from ..core.run import Run, run_space_size
+# The unpacked view of the random probes' draw, re-exported: perfbench's
+# layer tracing looks it up here by name.
+from ..core.run import random_run as random_run
 from ..core.seeding import spawn_random
 from ..core.topology import Topology
 from ..core.types import ProcessId, Round
@@ -142,46 +147,50 @@ class SearchResult:
 def _search_over(
     protocol: Protocol,
     topology: Topology,
-    runs: Iterable[Run],
+    rows: List[PackedRun],
     objective: Objective,
     certification: str,
     strategy: str,
     engine=None,
 ) -> SearchResult:
+    """Maximize over packed runs; only the winner is unpacked."""
     engine = _resolve_engine(engine)
-    run_list = list(runs)
-    if not run_list:
+    if not rows:
         raise ValueError(f"{strategy} search was given no runs")
     with engine.obs.tracer.span(
         f"search.{strategy}",
         protocol=protocol.name,
         topology=topology.describe(),
-        runs=len(run_list),
+        runs=len(rows),
         certification=certification,
     ):
         results = engine.evaluate_many(
-            protocol, topology, run_list, trials=SEARCH_TRIALS
+            protocol, topology, rows, trials=SEARCH_TRIALS
         )
         # Scan in submission order with a strict ``>``, so the winner
         # (the first run attaining the maximum) matches the historical
         # serial loop exactly.
         best_value = float("-inf")
-        best_run: Optional[Run] = None
-        for run, result in zip(run_list, results):
+        best: Optional[PackedRun] = None
+        for row, result in zip(rows, results):
             value = objective(result)
             if value > best_value:
                 best_value = value
-                best_run = run
-    engine.obs.metrics.counter("search.runs_examined").inc(len(run_list))
+                best = row
+    engine.obs.metrics.counter("search.runs_examined").inc(len(rows))
     logger.debug(
         "%s search on %s: value=%.6f over %d runs",
         strategy,
         topology.describe(),
         best_value,
-        len(run_list),
+        len(rows),
     )
     return SearchResult(
-        best_value, best_run, len(run_list), certification, strategy
+        best_value,
+        best.unpack() if best is not None else None,
+        len(rows),
+        certification,
+        strategy,
     )
 
 
@@ -375,14 +384,17 @@ def family_search(
     families: Optional[Sequence[RunFamily]] = None,
     engine=None,
 ) -> SearchResult:
-    """Maximize over the structured families."""
+    """Maximize over the structured families, in family order."""
     if families is None:
         families = standard_families()
-    runs: List[Run] = []
-    for family in families:
-        runs.extend(family.runs(topology, num_rounds))
+    layout = layout_for(topology, num_rounds)
+    rows = [
+        PackedRun(layout, bits)
+        for family in families
+        for bits in family.generate(layout)
+    ]
     return _search_over(
-        protocol, topology, runs, objective, "family", "family", engine=engine
+        protocol, topology, rows, objective, "family", "family", engine=engine
     )
 
 
@@ -395,14 +407,13 @@ def random_search(
     rng: Optional[random.Random] = None,
     engine=None,
 ) -> SearchResult:
-    """Probe uniformly random runs."""
+    """Probe uniformly random runs (the draws of :func:`random_run`)."""
     if rng is None:
         rng = spawn_random(0, "adversary", "random-search")
-    runs = (
-        random_run(topology, num_rounds, rng) for _ in range(samples)
-    )
+    layout = layout_for(topology, num_rounds)
+    rows = [PackedRun(layout, random_bits(layout, rng)) for _ in range(samples)]
     return _search_over(
-        protocol, topology, runs, objective, "heuristic", "random",
+        protocol, topology, rows, objective, "heuristic", "random",
         engine=engine,
     )
 
@@ -500,9 +511,15 @@ def worst_case_unsafety(
     suite); a reduced sweep that fails its guard limits falls back
     to the full sweep, never to a weaker certification.  Otherwise
     the best of family search, greedy refinement seeded at the family
-    winner, and random probing — certified ``family`` if the family
-    winner stands, ``heuristic`` if a heuristic beat it.
+    winner, and ``random_samples`` random probes (none at 0) —
+    certified ``family`` if the family winner stands, ``heuristic`` if
+    a heuristic beat it.  A negative ``random_samples`` raises
+    ``ValueError``.
     """
+    if random_samples < 0:
+        raise ValueError(
+            f"random_samples must be >= 0, got {random_samples}"
+        )
     engine = _resolve_engine(engine)
     space = run_space_size(topology, num_rounds, fixed_inputs=False)
     with engine.obs.tracer.span(
@@ -552,12 +569,13 @@ def worst_case_unsafety(
                     objective, engine=engine,
                 )
             )
-        candidates.append(
-            random_search(
-                protocol, topology, num_rounds, random_samples, objective,
-                rng, engine=engine,
+        if random_samples:
+            candidates.append(
+                random_search(
+                    protocol, topology, num_rounds, random_samples,
+                    objective, rng, engine=engine,
+                )
             )
-        )
         best = max(candidates, key=lambda result: result.value)
         examined = sum(result.runs_examined for result in candidates)
         certification = (

@@ -48,6 +48,7 @@ to respect distinguished vertices such as Protocol S's coordinator).
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
@@ -482,6 +483,32 @@ def packed_run_batches(
         yield RunBatch.from_bits(layout, (packed.bits for packed in runs))
 
 
+def random_bits(
+    layout: RunLayout,
+    rng: random.Random,
+    delivery_probability: float = 0.5,
+    input_probability: float = 0.5,
+) -> int:
+    """A random run's bitmask: one ``rng.random()`` per bit, in bit order.
+
+    An input bit is set when its draw is below ``input_probability``,
+    a message bit when its draw is below ``delivery_probability``.  Bit
+    order is process order, then :func:`~repro.core.run.all_message_tuples`
+    order, so :func:`~repro.core.run.random_run` is exactly the
+    unpacked view of this draw, rng state included.
+    """
+    draw = rng.random
+    m = layout.num_processes
+    bits = 0
+    for bit in range(m):
+        if draw() < input_probability:
+            bits |= 1 << bit
+    for bit in range(m, layout.num_bits):
+        if draw() < delivery_probability:
+            bits |= 1 << bit
+    return bits
+
+
 # ----------------------------------------------------------------------
 # Automorphism action and orbit reduction.
 # ----------------------------------------------------------------------
@@ -700,4 +727,5 @@ __all__ = [
     "packed_run_batches",
     "packed_run_space",
     "permute_bits",
+    "random_bits",
 ]

@@ -393,16 +393,18 @@ def random_run(
     delivery_probability: float = 0.5,
     input_probability: float = 0.5,
 ) -> Run:
-    """A uniformly-seasoned random run for property-based sweeps."""
-    inputs = frozenset(
-        i for i in topology.processes if rng.random() < input_probability
+    """A uniformly-seasoned random run for property-based sweeps.
+
+    The unpacked view of :func:`repro.core.packed.random_bits`: inputs
+    are drawn in process order, then deliveries in
+    :func:`all_message_tuples` order, one ``rng.random()`` each.
+    """
+    from .packed import layout_for, random_bits
+
+    layout = layout_for(topology, num_rounds)
+    return layout.unpack_bits(
+        random_bits(layout, rng, delivery_probability, input_probability)
     )
-    kept = frozenset(
-        m
-        for m in all_message_tuples(topology, num_rounds)
-        if rng.random() < delivery_probability
-    )
-    return Run(num_rounds, inputs, kept)
 
 
 def enumerate_input_sets(topology: Topology) -> Iterator[FrozenSet[ProcessId]]:

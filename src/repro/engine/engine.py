@@ -139,15 +139,16 @@ _Row = Union[PackedRun, Run]
 def _keyed_rows(
     protocol: Protocol,
     topology: Topology,
-    runs: Union[List[Run], RunBatch, PackedRun],
+    runs: Union[List[_Row], RunBatch, PackedRun],
     method: str,
     trials: int,
 ) -> Tuple[List[_Row], List[Optional[tuple]]]:
     """The rows of a pipeline source, in result order, and their keys.
 
     A :class:`PackedRun` source stands for itself followed by its
-    single-bit neighbors in bit order.  Keys are the memo-cache keys
-    of :meth:`Engine.cache_key`.
+    single-bit neighbors in bit order.  In a list, a ``PackedRun`` is
+    one row, which must be on this topology's layout.  Keys are the
+    memo-cache keys of :meth:`Engine.cache_key`.
     """
     if isinstance(runs, RunBatch):
         rows: List[_Row] = [runs.packed(index) for index in range(len(runs))]
@@ -157,6 +158,16 @@ def _keyed_rows(
     else:
         rows = []
         for run in runs:
+            if isinstance(run, PackedRun):
+                # Its key names only (num_rounds, bits): on a foreign
+                # layout it would share a cache line with another run.
+                if run.layout.topology != topology:
+                    raise ValueError(
+                        f"packed run on {run.layout.topology.describe()} "
+                        f"cannot be evaluated on {topology.describe()}"
+                    )
+                rows.append(run)
+                continue
             try:
                 rows.append(PackedRun.from_run(topology, run))
             except ValueError:
@@ -590,7 +601,7 @@ class Engine:
         self,
         protocol: Protocol,
         topology: Topology,
-        runs: Sequence[Run],
+        runs: Sequence[Union[Run, PackedRun]],
         method: str = "auto",
         trials: int = DEFAULT_TRIALS,
         rng: Optional[random.Random] = None,
@@ -601,7 +612,11 @@ class Engine:
         Semantically equivalent to mapping :meth:`evaluate` over
         ``runs`` (same results, same rng consumption for Monte-Carlo
         protocols); the vectorized backend and the memo cache only
-        change how fast the answers arrive.
+        change how fast the answers arrive.  A run may be given as a
+        :class:`PackedRun` on this topology's layout: it is keyed,
+        looked up, deduplicated, routed and stored exactly like the
+        ``Run`` it encodes.  A ``PackedRun`` on any other topology's
+        layout raises ``ValueError`` before any lookup.
         """
         runs = list(runs)
         results = self._pipeline(
@@ -690,7 +705,7 @@ class Engine:
         operation: str,
         protocol: Protocol,
         topology: Topology,
-        source: Union[Run, List[Run], RunBatch, PackedRun],
+        source: Union[Run, List[_Row], RunBatch, PackedRun],
         method: str,
         trials: int,
         rng: Optional[random.Random] = None,
@@ -699,9 +714,10 @@ class Engine:
     ) -> Union[List[EventProbabilities], EventColumns]:
         """Evaluate ``source`` in order: the one path behind every method.
 
-        ``source`` is one run (a scalar call), a list of runs, a
-        :class:`RunBatch`, or a :class:`PackedRun` standing for itself
-        followed by its single-bit neighbors in bit order.  Runs are
+        ``source`` is one run (a scalar call), a list of runs (each a
+        ``Run`` or a ``PackedRun``), a :class:`RunBatch`, or a
+        :class:`PackedRun` standing for itself followed by its
+        single-bit neighbors in bit order.  Runs are
         packed once, on entry: the packed form is both their cache key
         and the kernel's input.  Runs are looked up in the memo cache,
         the misses go to the backend :meth:`_route` picks for their
@@ -716,7 +732,9 @@ class Engine:
         Every other source returns one result per run.  Any other
         backend meets the cache with packed input as with any batch.
         """
-        runs = [source] if isinstance(source, Run) else source
+        runs: Union[List[_Row], RunBatch, PackedRun] = (
+            [source] if isinstance(source, Run) else source
+        )
         size = 1 + runs.layout.num_bits if isinstance(runs, PackedRun) else len(runs)
         with self._call(
             operation, protocol=protocol.name, method=method, **attributes
@@ -763,10 +781,8 @@ class Engine:
                         if key in done:
                             results[index] = done[key]
                             continue
-                        run = (
-                            runs[index]
-                            if isinstance(runs, list)
-                            else _as_run(rows[index])
+                        run = _as_run(
+                            runs[index] if isinstance(runs, list) else rows[index]
                         )
                         if route == "meanfield":
                             from ..meanfield import evaluate_counter
@@ -805,7 +821,7 @@ class Engine:
         self,
         protocol: Protocol,
         topology: Topology,
-        runs: Union[List[Run], PackedRun],
+        runs: Union[List[_Row], PackedRun],
         rows: List[_Row],
         pending: Sequence[int],
         results: List[Optional[EventProbabilities]],

@@ -117,3 +117,17 @@ class TestComposite:
         protocol = ProtocolS(epsilon=0.25)
         result = worst_case_unsafety(protocol, topology, 5)
         assert result.value == pytest.approx(0.25)
+
+    def test_zero_random_samples_skips_the_random_stage(self, pair):
+        protocol = ProtocolS(epsilon=0.25)
+        family = family_search(protocol, pair, 8)
+        greedy = greedy_search(protocol, pair, 8, family.run)
+        result = worst_case_unsafety(protocol, pair, 8, random_samples=0)
+        assert result.runs_examined == (
+            family.runs_examined + greedy.runs_examined
+        )
+        assert result.value == pytest.approx(0.25)
+
+    def test_negative_random_samples_rejected(self, pair):
+        with pytest.raises(ValueError, match="random_samples"):
+            worst_case_unsafety(ProtocolS(epsilon=0.25), pair, 8, random_samples=-1)

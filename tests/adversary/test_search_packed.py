@@ -1,15 +1,18 @@
 """Packed search paths: parity with the legacy tuple-set searches.
 
-``exhaustive_search`` and ``greedy_search`` run on packed runs on
-every backend.  The tuple-set searches they replaced — the per-``Run``
-list scan and the tuple-flip hill-climb — live on below as oracles,
-evaluating through the reference simulator directly, so the packed
-paths are still checked against a separate implementation: same
-maxima, same witnesses, same ``runs_examined`` budgets on both the
-vectorized and the reference engine, for both the unsafety objective
-(``U_s``) and the negated-liveness objective (``L(R)`` minimization),
-on K2/K3/chain/star instances, on sweeps spanning many kernel batches,
-and on a two-word layout past the single-word array enumeration.
+Every search runs on packed runs on every backend.  The tuple-set
+searches they replaced — the per-``Run`` list scans of the exhaustive,
+family and random searches and the tuple-flip hill-climb — live on
+below as oracles, evaluating through the reference simulator directly
+(the family scan over the tuple-set family generators of
+``test_structured``, the random scan over its tuple-set draw), so the
+packed paths are still checked against a separate implementation:
+same maxima, same witnesses, same ``runs_examined`` budgets and
+certifications on both the vectorized and the reference engine, for
+both the unsafety objective (``U_s``) and the negated-liveness
+objective (``L(R)`` minimization), on K2/K3/chain/star instances, on
+sweeps spanning many kernel batches, and on a two-word layout past the
+single-word array enumeration.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from repro.adversary.search import (
     greedy_search,
     negated_liveness_objective,
     unsafety_objective,
+    worst_case_unsafety,
 )
 from repro.adversary.strong import StrongAdversary
+from repro.adversary.structured import standard_families
 from repro.core.packed import enumerate_orbit_representatives, layout_for
 from repro.core.probability import evaluate
 from repro.core.run import (
@@ -36,8 +41,11 @@ from repro.core.run import (
 )
 from repro.core.topology import Topology
 from repro.engine import Engine
+from repro.protocols.ablations import NaiveCountingS
 from repro.protocols.protocol_s import ProtocolS
 from repro.protocols.weak_adversary import ProtocolW
+
+from .test_structured import ORACLES, oracle_random_run
 
 PAIR = Topology.pair()
 K3 = Topology.complete(3)
@@ -66,17 +74,39 @@ def ref_engine():
     return Engine(backend="reference")
 
 
-def legacy_exhaustive(protocol, topology, num_rounds, objective, fixed_inputs=None):
-    """The tuple list-scan search: every ``Run``, first strict max wins."""
-    runs = list(
-        StrongAdversary(fixed_inputs=fixed_inputs).enumerate(topology, num_rounds)
-    )
+def legacy_scan(protocol, topology, runs, objective):
+    """The tuple list scan: every ``Run``, first strict max wins."""
+    runs = list(runs)
     best_value, best_run = float("-inf"), None
     for run in runs:
         value = objective(evaluate(protocol, topology, run))
         if value > best_value:
             best_value, best_run = value, run
     return best_value, best_run, len(runs)
+
+
+def legacy_exhaustive(protocol, topology, num_rounds, objective, fixed_inputs=None):
+    """The list scan over every run of the strong adversary."""
+    adversary = StrongAdversary(fixed_inputs=fixed_inputs)
+    return legacy_scan(
+        protocol, topology, adversary.enumerate(topology, num_rounds), objective
+    )
+
+
+def legacy_family(protocol, topology, num_rounds, objective):
+    """The list scan over the tuple-set families, in family order."""
+    runs = [
+        run
+        for family in standard_families()
+        for run in ORACLES[family.name](topology, num_rounds)
+    ]
+    return legacy_scan(protocol, topology, runs, objective)
+
+
+def legacy_random(protocol, topology, num_rounds, samples, objective, rng):
+    """The list scan over ``samples`` tuple-set random draws."""
+    runs = [oracle_random_run(topology, num_rounds, rng) for _ in range(samples)]
+    return legacy_scan(protocol, topology, runs, objective)
 
 
 def legacy_greedy(protocol, topology, num_rounds, seed_run, objective, max_passes=3):
@@ -348,3 +378,89 @@ class TestGreedyParity:
                 ProtocolS(epsilon=0.25), PAIR, 2, good_run(PAIR, 3),
                 engine=Engine(backend=backend),
             )
+
+
+def legacy_composite(protocol, topology, num_rounds, objective, samples, rng):
+    """``worst_case_unsafety`` above its exhaustive budget, on tuples:
+    ``(value, witness, runs_examined, certification)``."""
+    family = legacy_family(protocol, topology, num_rounds, objective)
+    candidates = [family]
+    if family[1] is not None:
+        candidates.append(
+            legacy_greedy(protocol, topology, num_rounds, family[1], objective)
+        )
+    if samples:
+        candidates.append(
+            legacy_random(protocol, topology, num_rounds, samples, objective, rng)
+        )
+    value, witness, _ = max(candidates, key=lambda candidate: candidate[0])
+    examined = sum(candidate[2] for candidate in candidates)
+    certification = "family" if value <= family[0] else "heuristic"
+    return value, witness, examined, certification
+
+
+def attack_skew(result):
+    """How much more often the last process attacks than process 1."""
+    return result.pr_attack[-1] - result.pr_attack[0]
+
+
+#: The composite's heuristic branch: the exhaustive instances, two
+#: wider ones (m > 4 and more than 24 message tuples on K5), and naive
+#: counting on K3, where greedy refinement beats the families (both
+#: objectives) and the random probes beat both (``attack_skew``).
+HEURISTIC_CASES = [
+    (*instance, objective)
+    for instance in INSTANCES
+    + [
+        (PAIR, 6, ProtocolS(epsilon=0.2)),
+        (Topology.complete(5), 2, ProtocolW(2)),
+        (K3, 2, NaiveCountingS(epsilon=0.25)),
+    ]
+    for objective in OBJECTIVES
+] + [(K3, 2, NaiveCountingS(epsilon=0.5), attack_skew)]
+
+
+class TestHeuristicParity:
+    @pytest.mark.parametrize(
+        "topology, num_rounds, protocol, objective", HEURISTIC_CASES
+    )
+    @pytest.mark.parametrize("samples", [100, 0])
+    def test_composite_matches_legacy(
+        self, topology, num_rounds, protocol, objective, samples,
+        vec_engine, ref_engine,
+    ):
+        expected = legacy_composite(
+            protocol, topology, num_rounds, objective, samples,
+            random.Random(7),
+        )
+        for engine in (vec_engine, ref_engine):
+            result = worst_case_unsafety(
+                protocol, topology, num_rounds, objective,
+                exhaustive_limit=0, random_samples=samples,
+                rng=random.Random(7), engine=engine,
+            )
+            assert (
+                result.value,
+                result.run,
+                result.runs_examined,
+                result.certification,
+            ) == expected
+
+    def test_cases_reach_every_stage(self):
+        # Parity above only pins the greedy and random stages' witnesses
+        # if some case is won by each of them.
+        protocol = NaiveCountingS(epsilon=0.25)
+        family = legacy_family(protocol, K3, 2, unsafety_objective)
+        value, _, _, certification = legacy_composite(
+            protocol, K3, 2, unsafety_objective, 0, random.Random(7)
+        )
+        assert certification == "heuristic"
+        assert value > family[0]
+        protocol = NaiveCountingS(epsilon=0.5)
+        greedy = legacy_composite(
+            protocol, K3, 2, attack_skew, 0, random.Random(7)
+        )
+        probes = legacy_random(
+            protocol, K3, 2, 100, attack_skew, random.Random(7)
+        )
+        assert probes[0] > greedy[0]
