@@ -119,8 +119,10 @@ CACHEABLE_QUALNAMES: Tuple[str, ...] = (
     "repro.protocols.weak_adversary.ProtocolW.closed_form_probabilities",
 )
 
-# Under ``auto``, batches smaller than this stay on the reference path:
-# packing tensors for a handful of runs costs more than it saves.
+# Under ``auto``, batches smaller than this stay on the reference path.
+# Measured per call (DESIGN.md §7, Routing), the kernel loses to the
+# reference closed forms on one run of ``pair`` or ``path:4`` and wins
+# on every measured shape from four runs up.
 MIN_VECTORIZED_BATCH = 8
 
 # FIFO memo-cache bound — generous for the run counts the experiments

@@ -7,19 +7,24 @@ see :mod:`repro.protocols.counting`) has integer state — ``count``, a
 ``seen`` set, and the ``valid`` / ``rfire``-heard flags — all of which
 vectorize across a batch of runs:
 
-* ``seen`` sets become per-process bitmasks (one ``int64`` lane per
-  run), so the Figure 1 ``highseen`` union is a bitwise OR;
-* deliveries become a boolean tensor ``(batch, round, directed link)``;
-* one python-level loop remains over rounds × processes × in-neighbors
-  (all tiny), with every operation applying to the whole batch.
+* the state is held as ``(process, lane)`` arrays, one lane per run;
+* ``seen`` sets become bitmasks (one ``int64`` per process and lane),
+  so the Figure 1 ``highseen`` union is a bitwise OR;
+* deliveries become a boolean tensor ``(batch, round, directed link)``,
+  which each round gathers into an ``(m, max in-degree, lanes)`` block
+  through the padded in-link tables of :func:`_plan`;
+* one python-level loop remains, over rounds: within a round every
+  process reads only the previous round's state, so one step updates
+  all processes of all lanes at once.
 
 Because the counting state is integral, the batch kernel reproduces
 the reference simulator *exactly* — not approximately — and the
 closed-form probability formulas applied on top are transcribed
 operation-for-operation from ``ProtocolS.closed_form_probabilities`` /
 ``ProtocolW.closed_form_probabilities`` so the floats are bit-identical
-too.  The property tests in ``tests/engine/test_parity.py`` enforce
-this on random connected topologies, runs, and tapes.
+too.  ``tests/engine/test_vectorized.py`` enforces this on random
+connected topologies, runs and neighborhoods, and checks the round
+step state by state against the per-process loop it replaced.
 
 The specialized two-general kernels (``simulate_pair_counts`` and the
 valid-gated variant) remain as fast paths for the huge weak-adversary
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,39 +51,56 @@ MAX_VECTORIZED_PROCESSES = 62
 
 
 # ----------------------------------------------------------------------
-# Topology plans: per-process in-link gather indices, cached.
+# Topology plans: padded in-link gather tables, cached.
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _TopologyPlan:
-    """Link ordering and per-process gather indices for one topology."""
+    """In-link gather tables for one topology, padded to one width.
+
+    Row ``i`` of ``link_columns`` and ``senders`` lists process
+    ``i + 1``'s in-links as (delivery column, sender 0-index) pairs in
+    :meth:`Topology.directed_links` order, padded to the largest
+    in-degree (at least 1).  A pad entry's column is ``num_links``: the
+    extra delivery column the step appends, which is never delivered,
+    so a pad adds nothing to any gather; its sender index is 0, and
+    the false delivery masks that state out.  ``own`` is each
+    process's own ``seen`` bit as an ``(m, 1)`` column.
+    """
 
     num_processes: int
-    links: Tuple[Tuple[ProcessId, ProcessId], ...]
-    link_index: Dict[Tuple[ProcessId, ProcessId], int]
-    # For each 0-indexed process: (link column indices, sender 0-indices).
-    in_links: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
+    num_links: int
+    link_columns: np.ndarray
+    senders: np.ndarray
+    own: np.ndarray
+    full_mask: np.int64
 
 
 @lru_cache(maxsize=128)
 def _plan(topology: Topology) -> _TopologyPlan:
     links = tuple(topology.directed_links())
-    link_index = {link: k for k, link in enumerate(links)}
-    in_links = []
-    for process in topology.processes:
-        columns = []
-        senders = []
-        for k, (source, target) in enumerate(links):
-            if target == process:
-                columns.append(k)
-                senders.append(source - 1)
-        in_links.append((tuple(columns), tuple(senders)))
+    m = topology.num_processes
+    in_links: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+    for k, (source, target) in enumerate(links):
+        in_links[target - 1].append((k, source - 1))
+    width = max(1, max(len(row) for row in in_links))
+    link_columns = np.full((m, width), len(links), dtype=np.intp)
+    senders = np.zeros((m, width), dtype=np.intp)
+    for i, row in enumerate(in_links):
+        for j, (column, sender) in enumerate(row):
+            link_columns[i, j] = column
+            senders[i, j] = sender
+    own = np.left_shift(np.int64(1), np.arange(m, dtype=np.int64))[:, None]
+    for table in (link_columns, senders, own):
+        table.setflags(write=False)
     return _TopologyPlan(
-        num_processes=topology.num_processes,
-        links=links,
-        link_index=link_index,
-        in_links=tuple(in_links),
+        num_processes=m,
+        num_links=len(links),
+        link_columns=link_columns,
+        senders=senders,
+        own=own,
+        full_mask=np.int64((1 << m) - 1),
     )
 
 
@@ -114,12 +136,13 @@ def runs_to_tensors(
 class CountingState:
     """The Figure 1 machine's batched state at one round boundary.
 
-    All arrays have shape ``(batch, m)``.  The state before round
-    ``q`` depends only on deliveries in rounds ``< q``, which is what
-    makes single-bit neighbor evaluation incremental: a run differing
-    from its parent only in a round-``q`` delivery resumes from the
-    parent's saved state instead of re-simulating rounds ``1..q-1``
-    (:func:`evaluate_neighbor_batch`).
+    All arrays have shape ``(m, lanes)``: row ``i`` is process
+    ``i + 1`` and column ``j`` is run ``j`` of the batch.  The state
+    before round ``q`` depends only on deliveries in rounds ``< q``,
+    which is what makes single-bit neighbor evaluation incremental: a
+    run differing from its parent only in a round-``q`` delivery
+    resumes from the parent's saved state instead of re-simulating
+    rounds ``1..q-1`` (:func:`evaluate_neighbor_batch`).
     """
 
     count: np.ndarray
@@ -129,13 +152,13 @@ class CountingState:
 
     def tiled(self, lanes: int) -> "CountingState":
         """A single-run state broadcast to ``lanes`` independent lanes."""
-        if self.count.shape[0] != 1:
+        if self.count.shape[1] != 1:
             raise ValueError("tiled() expects a single-run state")
         return CountingState(
-            count=np.repeat(self.count, lanes, axis=0),
-            seen=np.repeat(self.seen, lanes, axis=0),
-            valid=np.repeat(self.valid, lanes, axis=0),
-            rknown=np.repeat(self.rknown, lanes, axis=0),
+            count=np.repeat(self.count, lanes, axis=1),
+            seen=np.repeat(self.seen, lanes, axis=1),
+            valid=np.repeat(self.valid, lanes, axis=1),
+            rknown=np.repeat(self.rknown, lanes, axis=1),
         )
 
 
@@ -146,20 +169,17 @@ def _initial_state(
     coordinator: ProcessId,
 ) -> CountingState:
     """The pre-round-1 state of the Figure 1 machine."""
-    m = plan.num_processes
-    batch = inputs.shape[0]
-    own = np.array([np.int64(1) << i for i in range(m)], dtype=np.int64)
-    valid = inputs.copy()
-    rknown = np.zeros((batch, m), dtype=bool)
+    valid = np.ascontiguousarray(inputs.T)
+    rknown = np.zeros_like(valid)
     if rfire_gated:
         # Only the coordinator holds a defined rfire at the start (the
         # other processes' tapes are constant None).
-        rknown[:, coordinator - 1] = True
+        rknown[coordinator - 1] = True
         counting0 = valid & rknown
     else:
         counting0 = valid
     count = np.where(counting0, np.int64(1), np.int64(0))
-    seen = np.where(counting0, own[None, :], np.int64(0))
+    seen = np.where(counting0, plan.own, np.int64(0))
     return CountingState(count=count, seen=seen, valid=valid, rknown=rknown)
 
 
@@ -174,67 +194,61 @@ def _advance_rounds(
     The single source of truth for the round transition — full
     simulation, the per-round history, and incremental resumption all
     go through this loop, so they are bit-identical by construction.
-    The input ``state`` is not mutated; a fresh state is returned.
+    Each round is one step over all processes at once: within a round
+    every process reads only the previous round's state, so the
+    Figure 1 update applies to the whole ``(m, in-degree, lanes)``
+    gather of senders' states.  The input ``state`` is not mutated; a
+    fresh state is returned.
+
+    A process without in-links gathers only pads, so no message reaches
+    it and its ``valid`` and ``rknown`` never change.  Its initial
+    state therefore already counts if it can ever start, and otherwise
+    its count stays 0: the step needs no has-in-links mask to leave
+    such a process as it was.
     """
-    m = plan.num_processes
-    own = np.array([np.int64(1) << i for i in range(m)], dtype=np.int64)
-    full_mask = np.int64((1 << m) - 1)
+    lanes, num_rounds = delivered.shape[:2]
+    # (round, link, lane), plus the never-delivered pad column.
+    columns = np.zeros((num_rounds, plan.num_links + 1, lanes), dtype=bool)
+    columns[:, :-1, :] = delivered.transpose(1, 2, 0)
+    senders = plan.senders
+    own = plan.own
     count = state.count
     seen = state.seen
     valid = state.valid
     rknown = state.rknown
 
-    for round_number in range(delivered.shape[1]):
-        d = delivered[:, round_number, :]
-        prev_count = count
-        prev_seen = seen
-        prev_valid = valid
-        prev_rknown = rknown
-        count = prev_count.copy()
-        seen = prev_seen.copy()
-        valid = prev_valid.copy()
-        rknown = prev_rknown.copy()
-        for i in range(m):
-            columns, senders = plan.in_links[i]
-            if not columns:
-                continue
-            dcols = d[:, columns]
-            any_msg = dcols.any(axis=1)
-            # Figure 1 lines 1-2: adopt rfire and validity.
-            rknown_i = prev_rknown[:, i] | (
-                dcols & prev_rknown[:, senders]
-            ).any(axis=1)
-            valid_i = prev_valid[:, i] | (
-                dcols & prev_valid[:, senders]
-            ).any(axis=1)
-            # Line 3: start counting.
-            can_start = (prev_count[:, i] == 0) & valid_i
-            if rfire_gated:
-                can_start &= rknown_i
-            ci = np.where(can_start, np.int64(1), prev_count[:, i])
-            si = np.where(can_start, own[i], prev_seen[:, i])
-            # Counting block: merge the highest delivered count.
-            active = (ci >= 1) & any_msg
-            sender_counts = np.where(
-                dcols, prev_count[:, senders], np.int64(-1)
-            )
-            high = sender_counts.max(axis=1)
-            is_high = dcols & (sender_counts == high[:, None])
-            highseen = np.bitwise_or.reduce(
-                np.where(is_high, prev_seen[:, senders], np.int64(0)), axis=1
-            )
-            equal = active & (high == ci)
-            greater = active & (high > ci)
-            si = np.where(equal, si | highseen | own[i], si)
-            si = np.where(greater, highseen | own[i], si)
-            ci = np.where(greater, high, ci)
-            wrap = active & (si == full_mask)
-            ci = np.where(wrap, ci + 1, ci)
-            si = np.where(wrap, own[i], si)
-            count[:, i] = ci
-            seen[:, i] = si
-            valid[:, i] = valid_i
-            rknown[:, i] = rknown_i
+    # d[i, k, lane]: whether process i's k-th in-link delivers.
+    for d in columns[:, plan.link_columns]:
+        # Figure 1 lines 1-2: adopt rfire and validity.
+        rknown_next = rknown | (d & rknown[senders]).any(axis=1)
+        valid_next = valid | (d & valid[senders]).any(axis=1)
+        # Line 3: start counting.
+        can_start = (count == 0) & valid_next
+        if rfire_gated:
+            can_start &= rknown_next
+        ci = np.where(can_start, np.int64(1), count)
+        si = np.where(can_start, own, seen)
+        # Counting block: merge the highest delivered count.  An
+        # undelivered entry reads -1, below every count, so ``high``
+        # is -1 exactly when nothing arrived, and otherwise the
+        # entries equal to ``high`` are the delivered highest ones.
+        sender_counts = np.where(d, count[senders], np.int64(-1))
+        high = sender_counts.max(axis=1)
+        is_high = sender_counts == high[:, None, :]
+        highseen = np.bitwise_or.reduce(
+            np.where(is_high, seen[senders], np.int64(0)), axis=1
+        )
+        merged = highseen | own
+        active = (ci >= 1) & (high >= 0)
+        equal = active & (high == ci)
+        greater = active & (high > ci)
+        si = np.where(equal, si | merged, si)
+        si = np.where(greater, merged, si)
+        ci = np.where(greater, high, ci)
+        wrap = active & (si == plan.full_mask)
+        ci = np.where(wrap, ci + 1, ci)
+        si = np.where(wrap, own, si)
+        count, seen, valid, rknown = ci, si, valid_next, rknown_next
     return CountingState(count=count, seen=seen, valid=valid, rknown=rknown)
 
 
@@ -247,7 +261,7 @@ def _check_kernel_shapes(
             f"vectorized kernel supports at most {MAX_VECTORIZED_PROCESSES} "
             f"processes, got {m}"
         )
-    if delivered.shape[2] != len(plan.links):
+    if delivered.shape[2] != plan.num_links:
         raise ValueError("delivery tensor does not match the topology")
 
 
@@ -273,7 +287,7 @@ def simulate_counting_batch(
     _check_kernel_shapes(plan, delivered)
     state = _initial_state(plan, inputs, rfire_gated, coordinator)
     final = _advance_rounds(plan, delivered, state, rfire_gated)
-    return final.count, final.rknown
+    return final.count.T, final.rknown.T
 
 
 def simulate_counting_history(
@@ -461,7 +475,7 @@ def evaluate_neighbor_batch(
     states = simulate_counting_history(
         topology, delivered, inputs, rfire_gated, coordinator
     )
-    parent_result = finish(states[-1].count, states[-1].rknown).rows()[0]
+    parent_result = finish(states[-1].count.T, states[-1].rknown.T).rows()[0]
     by_bit: List[EventProbabilities] = [parent_result] * layout.num_bits
 
     # Input-bit neighbors: the flip changes the initial state, so the
@@ -489,7 +503,7 @@ def evaluate_neighbor_batch(
         )
         base = m + (flip_round - 1) * num_links
         by_bit[base : base + num_links] = finish(
-            resumed.count, resumed.rknown
+            resumed.count.T, resumed.rknown.T
         ).rows()
     return parent_result, by_bit
 
