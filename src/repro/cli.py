@@ -48,9 +48,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from .adversary.search import worst_case_unsafety
 from .analysis.report import Table
@@ -91,29 +92,39 @@ class SpecError(ValueError):
     """A malformed --topology/--run/--protocol specification."""
 
 
-def parse_topology(spec: str) -> Topology:
-    """Parse the topology mini-language (see module docstring)."""
+def _topology_arguments(spec: str) -> Tuple[str, Tuple[int, ...]]:
+    """The argument step of the topology grammar: builds nothing."""
     name, _, argument = spec.partition(":")
     try:
         if name == "pair":
-            return Topology.pair()
-        if name == "path":
-            return Topology.path(int(argument))
-        if name == "ring":
-            return Topology.ring(int(argument))
-        if name == "star":
-            return Topology.star(int(argument))
-        if name == "complete":
-            return Topology.complete(int(argument))
+            return name, ()
+        if name in ("path", "ring", "star", "complete"):
+            return name, (int(argument),)
         if name == "grid":
             rows, _, cols = argument.partition("x")
-            return Topology.grid(int(rows), int(cols))
-    except (ValueError, TypeError) as error:
+            return name, (int(rows), int(cols))
+    except ValueError as error:
         raise SpecError(f"bad topology spec {spec!r}: {error}") from error
     raise SpecError(
         f"unknown topology {spec!r} (try pair, path:M, ring:M, star:M, "
         "complete:M, grid:RxC)"
     )
+
+
+def topology_size(spec: str) -> int:
+    """The process count a topology spec asks for, without building it."""
+    _, arguments = _topology_arguments(spec)
+    return math.prod(arguments) if arguments else 2
+
+
+def parse_topology(spec: str) -> Topology:
+    """Parse the topology mini-language (see module docstring)."""
+    name, arguments = _topology_arguments(spec)
+    try:
+        # Every name the grammar accepts is a Topology constructor.
+        return getattr(Topology, name)(*arguments)
+    except (ValueError, TypeError) as error:
+        raise SpecError(f"bad topology spec {spec!r}: {error}") from error
 
 
 def parse_run(spec: str, topology: Topology, num_rounds: Round) -> Run:

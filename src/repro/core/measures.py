@@ -27,19 +27,25 @@ where ``t_h[j]`` is the earliest round by which ``j`` reaches height
 ``h``.  This is equivalent to the paper's existential definition
 because reachability from ``(i, r)`` only shrinks as ``r`` grows and a
 process that has reached a height keeps it forever.
+
+:func:`profile_from_deliveries` evaluates the maximum for all sources
+in one forward sweep per height: ``reached[k]`` is a bitmask of the
+processes ``i`` whose pair ``(i, t_{h-1}[i])`` flows to ``(k, r)``;
+each delivery ORs its sender's mask, as it stood at the delivery's
+read round, into its receiver's, and ``t_h[j]`` is the first round at
+which ``reached[j]`` covers every process but ``j``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .run import Run
 from .types import (
     ENVIRONMENT,
     INPUT_SEND_ROUND,
-    MessageTuple,
     ProcessId,
     ProcessRound,
     Round,
@@ -48,14 +54,6 @@ from .types import (
 # Sentinel for "never": rounds are small ints, so math.inf is safe to
 # compare against but must never be stored in a Run.
 NEVER: float = math.inf
-
-
-def _deliveries_by_round(run: Run) -> Dict[Round, List[MessageTuple]]:
-    """Group the run's delivered messages by round for forward sweeps."""
-    by_round: Dict[Round, List[MessageTuple]] = {}
-    for message in run.messages:
-        by_round.setdefault(message.round, []).append(message)
-    return by_round
 
 
 def earliest_arrivals(
@@ -73,14 +71,7 @@ def earliest_arrivals(
     """
     if source == ENVIRONMENT:
         raise ValueError("use earliest_input_arrivals for the environment pair")
-    arrivals: Dict[ProcessId, Round] = {source: start_round}
-    by_round = _deliveries_by_round(run)
-    for round_number in range(start_round + 1, run.num_rounds + 1):
-        for message in by_round.get(round_number, ()):
-            if message.source in arrivals and message.target not in arrivals:
-                if arrivals[message.source] <= round_number - 1:
-                    arrivals[message.target] = round_number
-    return arrivals
+    return _extend_arrivals(run, {source: start_round}, start_round + 1)
 
 
 def earliest_input_arrivals(run: Run) -> Dict[ProcessId, Round]:
@@ -90,12 +81,17 @@ def earliest_input_arrivals(run: Run) -> Dict[ProcessId, Round]:
     the sweep starts from the input set at round 0 and then follows
     delivered messages.
     """
-    arrivals: Dict[ProcessId, Round] = {i: 0 for i in run.inputs}
-    by_round = _deliveries_by_round(run)
-    for round_number in range(1, run.num_rounds + 1):
-        for message in by_round.get(round_number, ()):
-            if message.source in arrivals and message.target not in arrivals:
-                if arrivals[message.source] <= round_number - 1:
+    return _extend_arrivals(run, {i: 0 for i in run.inputs}, 1)
+
+
+def _extend_arrivals(
+    run: Run, arrivals: Dict[ProcessId, Round], first_round: Round
+) -> Dict[ProcessId, Round]:
+    """Follow delivered messages forward from ``first_round``."""
+    for round_number in range(first_round, run.num_rounds + 1):
+        for message in run.deliveries_in_round(round_number):
+            if message.target not in arrivals:
+                if arrivals.get(message.source, NEVER) <= round_number - 1:
                     arrivals[message.target] = round_number
     return arrivals
 
@@ -135,10 +131,9 @@ def backward_closure(run: Run, anchor: ProcessRound) -> Set[ProcessRound]:
         return closure
     current: Set[ProcessId] = {anchor.process}
     closure.add(ProcessRound(anchor.process, anchor.round))
-    by_round = _deliveries_by_round(run)
     for round_number in range(anchor.round, -1, -1):
         previous = set(current)
-        for message in by_round.get(round_number, ()):
+        for message in run.deliveries_in_round(round_number):
             if message.target in current:
                 previous.add(message.source)
         current = previous
@@ -234,75 +229,75 @@ class LevelProfile:
         }
 
 
-def compute_profile_from_arrivals(
+#: Deliveries indexed by arrival round: ``deliveries[r]`` lists the
+#: ``(source, target, read round)`` of every delivery arriving at round
+#: ``r``, which lets ``(source, read round)`` flow to ``(target, r)``.
+Deliveries = Sequence[Sequence[Tuple[ProcessId, ProcessId, Round]]]
+
+
+def profile_from_deliveries(
     num_rounds: Round,
     num_processes: int,
     base_thresholds: Dict[ProcessId, float],
-    arrivals_fn,
+    deliveries: Deliveries,
 ) -> LevelProfile:
     """Shared recursion for level and modified level.
 
     ``base_thresholds`` is ``t_1``: the earliest round each process
-    reaches height 1.  Heights above the first follow the recursion
-    ``t_h[j] = max_{i != j} earliest-arrival((i, t_{h-1}[i]) -> j)``.
-
-    ``arrivals_fn(source, start_round)`` returns the earliest-arrival
-    map from the pair ``(source, start_round)``.  This indirection lets
-    the timed (delayed-message) model of :mod:`repro.timed` reuse the
-    exact recursion with its own flows-to relation.
+    reaches height 1.  Each height above is one forward sweep over
+    rounds ``0..N`` for all sources at once (see the module docstring).
+    ``deliveries`` has ``num_rounds + 1`` entries, every read round
+    earlier than its arrival round: the synchronous model reads round
+    ``r - 1``, the timed model of :mod:`repro.timed` reads ``sent - 1``.
     """
     processes = range(1, num_processes + 1)
-    thresholds: List[Dict[ProcessId, float]] = [dict(base_thresholds)]
+    everyone = (1 << (num_processes + 1)) - 2
+    thresholds: List[Dict[ProcessId, float]] = []
+    current: Dict[ProcessId, float] = dict(base_thresholds)
     # Heights are bounded: each new height needs at least the previous
     # threshold round, and t_h >= h - 1, so h <= N + 2 suffices as a cap.
-    while True:
-        previous = thresholds[-1]
-        if all(previous.get(j, NEVER) > num_rounds for j in processes):
-            thresholds.pop()
-            break
-        current: Dict[ProcessId, float] = {}
-        arrival_cache: Dict[ProcessId, Dict[ProcessId, Round]] = {}
-        for i in processes:
-            start = previous.get(i, NEVER)
-            if start <= num_rounds:
-                arrival_cache[i] = arrivals_fn(i, int(start))
-        for j in processes:
-            worst: float = 0
-            for i in processes:
-                if i == j:
-                    continue
-                if i not in arrival_cache:
-                    worst = NEVER
-                    break
-                reached = arrival_cache[i].get(j)
-                if reached is None:
-                    worst = NEVER
-                    break
-                worst = max(worst, reached)
-            if worst is not NEVER and worst <= num_rounds:
-                current[j] = worst
-        if not current:
-            break
+    while any(current.get(j, NEVER) <= num_rounds for j in processes):
         thresholds.append(current)
         if len(thresholds) > num_rounds + 2:
             raise AssertionError(
                 "level recursion exceeded its theoretical bound of N + 2"
             )
+        starting: List[List[ProcessId]] = [[] for _ in range(num_rounds + 1)]
+        for i in processes:
+            start = current.get(i, NEVER)
+            if start <= num_rounds:
+                starting[int(start)].append(i)
+        started = sum(1 << i for row in starting for i in row)
+        # j can reach the next height only if every other process starts.
+        pending = [j for j in processes if everyone & ~started & ~(1 << j) == 0]
+        following: Dict[ProcessId, float] = {}
+        # Every mask is empty before the first start round.
+        first = next(r for r, row in enumerate(starting) if row)
+        reached = [0] * (num_processes + 1)
+        history: List[List[int]] = [reached] * first
+        for round_number in range(first, num_rounds + 1):
+            if not pending:
+                break
+            reached = reached.copy()
+            for source, target, read in deliveries[round_number]:
+                reached[target] |= history[read][source]
+            for i in starting[round_number]:
+                reached[i] |= 1 << i
+            history.append(reached)
+            for j in pending:
+                if reached[j] | (1 << j) == everyone:
+                    following[j] = round_number
+            pending = [j for j in pending if j not in following]
+        current = following
     return LevelProfile(num_rounds, num_processes, tuple(thresholds))
 
 
-def _compute_profile(
-    run: Run,
-    num_processes: int,
-    base_thresholds: Dict[ProcessId, float],
-) -> LevelProfile:
-    """The synchronous instantiation of the shared level recursion."""
-    return compute_profile_from_arrivals(
-        run.num_rounds,
-        num_processes,
-        base_thresholds,
-        lambda source, start: earliest_arrivals(run, source, start),
-    )
+def _synchronous_deliveries(run: Run) -> Deliveries:
+    """A synchronous run's deliveries: round ``r`` reads round ``r - 1``."""
+    return [
+        [(m.source, m.target, r - 1) for m in run.deliveries_in_round(r)]
+        for r in range(run.num_rounds + 1)
+    ]
 
 
 def level_profile(run: Run, num_processes: int) -> LevelProfile:
@@ -310,9 +305,10 @@ def level_profile(run: Run, num_processes: int) -> LevelProfile:
 
     Height 1 requires ``(v0, -1)`` to flow to ``(j, r)``.
     """
-    base = dict(earliest_input_arrivals(run))
-    typed_base: Dict[ProcessId, float] = {j: float(r) for j, r in base.items()}
-    return _compute_profile(run, num_processes, typed_base)
+    base = {j: float(r) for j, r in earliest_input_arrivals(run).items()}
+    return profile_from_deliveries(
+        run.num_rounds, num_processes, base, _synchronous_deliveries(run)
+    )
 
 
 def modified_level_profile(
@@ -325,15 +321,27 @@ def modified_level_profile(
     coordinator's *rfire* value.  The paper fixes the coordinator to
     process 1; the parameter exists for symmetry experiments.
     """
-    input_arrivals = earliest_input_arrivals(run)
-    coordinator_arrivals = earliest_arrivals(run, coordinator, 0)
-    base: Dict[ProcessId, float] = {}
-    for j in range(1, num_processes + 1):
-        input_round = input_arrivals.get(j)
-        heard_round = coordinator_arrivals.get(j)
-        if input_round is not None and heard_round is not None:
-            base[j] = float(max(input_round, heard_round))
-    return _compute_profile(run, num_processes, base)
+    base = modified_base(
+        num_processes,
+        earliest_input_arrivals(run),
+        earliest_arrivals(run, coordinator, 0),
+    )
+    return profile_from_deliveries(
+        run.num_rounds, num_processes, base, _synchronous_deliveries(run)
+    )
+
+
+def modified_base(
+    num_processes: int,
+    input_arrivals: Dict[ProcessId, Round],
+    coordinator_arrivals: Dict[ProcessId, Round],
+) -> Dict[ProcessId, float]:
+    """M-height 1: the later of hearing the input and the coordinator."""
+    return {
+        j: float(max(input_arrivals[j], coordinator_arrivals[j]))
+        for j in range(1, num_processes + 1)
+        if j in input_arrivals and j in coordinator_arrivals
+    }
 
 
 def run_level(run: Run, num_processes: int) -> int:

@@ -27,6 +27,7 @@ from ..core.probability import (
 from ..core.protocol import ClosedFormProtocol, Protocol
 from ..core.run import Run
 from ..core.topology import Topology
+from ..engine.vectorized import MAX_VECTORIZED_PROCESSES
 from ..meanfield.counter import CounterRunSpec
 from ..meanfield.evaluate import CounterEvaluation, scaled_spec
 from ..protocols.protocol_m import ProtocolM
@@ -43,6 +44,12 @@ METHODS = ("auto", "closed-form", "enumeration", "monte-carlo")
 #: choices: they are bit-identical, so picking between them is a
 #: server deployment decision (``repro serve --backend``).
 REQUEST_BACKENDS = ("auto", "meanfield")
+
+#: Bounds of a concrete request, checked before anything is built: no
+#: deadline stops the parse thread, and ``complete:100000`` alone is
+#: ~5 * 10**9 edge tuples.  Every request in the repository fits.
+MAX_CONCRETE_PROCESSES = MAX_VECTORIZED_PROCESSES
+MAX_CONCRETE_ROUNDS = 64
 
 
 class RequestError(ValueError):
@@ -209,8 +216,10 @@ def parse_evaluate_payload(
     """Validate and parse one ``/v1/evaluate`` body.
 
     Raises :class:`RequestError` with a client-actionable message for
-    anything malformed: unknown fields, bad types, or specs the CLI
-    mini-language rejects.  A ``backend: "meanfield"`` field selects
+    anything malformed: unknown fields, bad types, specs the CLI
+    mini-language rejects, or a concrete request above
+    :data:`MAX_CONCRETE_PROCESSES` processes or
+    :data:`MAX_CONCRETE_ROUNDS` rounds.  A ``backend: "meanfield"`` field selects
     the scaled counter-abstraction path and yields a
     :class:`ScaledEvaluateRequest` instead.
     """
@@ -255,11 +264,26 @@ def parse_evaluate_payload(
         return _parse_scaled_payload(
             payload, protocol_spec, topology_spec, run_spec, rounds, method
         )
+    if rounds > MAX_CONCRETE_ROUNDS:
+        raise RequestError(
+            f"rounds must be <= {MAX_CONCRETE_ROUNDS}, got {rounds}"
+        )
     # The CLI's parsers are the single source of truth for the
     # mini-language; SpecError subclasses ValueError, so both spec and
     # structural failures surface as RequestError to the HTTP layer.
-    from ..cli import parse_protocol, parse_run, parse_topology
+    from ..cli import parse_protocol, parse_run, parse_topology, topology_size
 
+    try:
+        num_processes = topology_size(topology_spec)
+    except ValueError as error:
+        raise RequestError(str(error)) from error
+    if num_processes > MAX_CONCRETE_PROCESSES:
+        raise RequestError(
+            f"topology {topology_spec!r} has {num_processes} processes; "
+            f"concrete evaluation takes at most {MAX_CONCRETE_PROCESSES} "
+            "(send \"backend\": \"meanfield\" to evaluate complete:M "
+            "at any size)"
+        )
     try:
         topology = parse_topology(topology_spec)
         protocol = parse_protocol(protocol_spec, rounds)

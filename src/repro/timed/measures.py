@@ -9,62 +9,63 @@ flows-to relation generalizes to
     message was *sent no earlier than* the state being tracked —
     together with the usual self-flow ``(i, r) -> (i, r + 1)``.
 
-The level recursion is identical to the synchronous one (it only needs
-earliest arrivals), so it is shared via
-:func:`repro.core.measures.compute_profile_from_arrivals`.
+The level recursion is identical to the synchronous one: it only needs
+each delivery's read round, here ``sent - 1``, so it is shared via
+:func:`repro.core.measures.profile_from_deliveries`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from ..core.measures import LevelProfile, compute_profile_from_arrivals
+from ..core.measures import (
+    NEVER,
+    Deliveries,
+    LevelProfile,
+    modified_base,
+    profile_from_deliveries,
+)
 from ..core.types import ProcessId, Round
 from .run import Delivery, TimedRun
 
 
-def _deliveries_by_arrival(run: TimedRun) -> Dict[Round, List[Delivery]]:
-    by_arrival: Dict[Round, List[Delivery]] = {}
-    for delivery in run.deliveries:
-        by_arrival.setdefault(delivery.arrival, []).append(delivery)
+def _timed_deliveries(run: TimedRun) -> Deliveries:
+    """Deliveries by arrival round; each reads its sender at ``sent - 1``."""
+    by_arrival: List[List[Tuple[ProcessId, ProcessId, Round]]] = [
+        [] for _ in range(run.num_rounds + 1)
+    ]
+    for d in run.deliveries:
+        by_arrival[d.arrival].append((d.source, d.target, d.sent - 1))
     return by_arrival
+
+
+def _extend_arrivals(
+    run: TimedRun, arrivals: Dict[ProcessId, Round], first_round: Round
+) -> Dict[ProcessId, Round]:
+    """Follow deliveries forward from ``first_round``.
+
+    A delivery arriving at round ``a`` moves information from
+    ``(sender, sent - 1)`` to ``(receiver, a)``, so it is usable iff the
+    sender was already reached by round ``sent - 1``.
+    """
+    deliveries = _timed_deliveries(run)
+    for round_number in range(first_round, run.num_rounds + 1):
+        for source, target, read in deliveries[round_number]:
+            if target not in arrivals and arrivals.get(source, NEVER) <= read:
+                arrivals[target] = round_number
+    return arrivals
 
 
 def timed_earliest_arrivals(
     run: TimedRun, source: ProcessId, start_round: Round
 ) -> Dict[ProcessId, Round]:
-    """Earliest flow-arrival of ``(source, start_round)`` at each process.
-
-    Forward sweep over rounds: a delivery arriving at round ``a`` moves
-    information from ``(sender, sent - 1)`` to ``(receiver, a)``, so it
-    is usable iff the sender was already reached by round ``sent - 1``.
-    """
-    arrivals: Dict[ProcessId, Round] = {source: start_round}
-    by_arrival = _deliveries_by_arrival(run)
-    for round_number in range(start_round + 1, run.num_rounds + 1):
-        for delivery in by_arrival.get(round_number, ()):
-            sender_reached = arrivals.get(delivery.source)
-            if sender_reached is None or sender_reached > delivery.sent - 1:
-                continue
-            known = arrivals.get(delivery.target)
-            if known is None or known > round_number:
-                arrivals[delivery.target] = round_number
-    return arrivals
+    """Earliest flow-arrival of ``(source, start_round)`` at each process."""
+    return _extend_arrivals(run, {source: start_round}, start_round + 1)
 
 
 def timed_earliest_input_arrivals(run: TimedRun) -> Dict[ProcessId, Round]:
     """Earliest flow-arrival of the environment pair ``(v0, -1)``."""
-    arrivals: Dict[ProcessId, Round] = {i: 0 for i in run.inputs}
-    by_arrival = _deliveries_by_arrival(run)
-    for round_number in range(1, run.num_rounds + 1):
-        for delivery in by_arrival.get(round_number, ()):
-            sender_reached = arrivals.get(delivery.source)
-            if sender_reached is None or sender_reached > delivery.sent - 1:
-                continue
-            known = arrivals.get(delivery.target)
-            if known is None or known > round_number:
-                arrivals[delivery.target] = round_number
-    return arrivals
+    return _extend_arrivals(run, {i: 0 for i in run.inputs}, 1)
 
 
 def timed_level_profile(run: TimedRun, num_processes: int) -> LevelProfile:
@@ -73,11 +74,8 @@ def timed_level_profile(run: TimedRun, num_processes: int) -> LevelProfile:
         j: float(r)
         for j, r in timed_earliest_input_arrivals(run).items()
     }
-    return compute_profile_from_arrivals(
-        run.num_rounds,
-        num_processes,
-        base,
-        lambda source, start: timed_earliest_arrivals(run, source, start),
+    return profile_from_deliveries(
+        run.num_rounds, num_processes, base, _timed_deliveries(run)
     )
 
 
@@ -86,19 +84,13 @@ def timed_modified_level_profile(
 ) -> LevelProfile:
     """The modified level over a timed run (m-height 1 needs the
     coordinator's pair ``(coordinator, 0)`` as well as the input)."""
-    input_arrivals = timed_earliest_input_arrivals(run)
-    coordinator_arrivals = timed_earliest_arrivals(run, coordinator, 0)
-    base: Dict[ProcessId, float] = {}
-    for j in range(1, num_processes + 1):
-        input_round = input_arrivals.get(j)
-        heard_round = coordinator_arrivals.get(j)
-        if input_round is not None and heard_round is not None:
-            base[j] = float(max(input_round, heard_round))
-    return compute_profile_from_arrivals(
-        run.num_rounds,
+    base = modified_base(
         num_processes,
-        base,
-        lambda source, start: timed_earliest_arrivals(run, source, start),
+        timed_earliest_input_arrivals(run),
+        timed_earliest_arrivals(run, coordinator, 0),
+    )
+    return profile_from_deliveries(
+        run.num_rounds, num_processes, base, _timed_deliveries(run)
     )
 
 

@@ -1,18 +1,35 @@
-"""Brute-force reference implementations of the Section 4 definitions.
+"""Reference implementations of the Section 4 definitions.
 
-These follow the paper's definitions *literally* — direct recursion
-with memoization, no earliest-arrival DP — and exist purely to
-cross-validate the optimized implementations in
+The first half follows the paper's definitions *literally* — direct
+recursion with memoization, no earliest-arrival DP — and exists purely
+to cross-validate the optimized implementations in
 :mod:`repro.core.measures`.  Quadratic or worse; use only on tiny
 instances.
+
+The second half is the per-source level recursion the library used
+before its one-sweep-per-height form: one earliest-arrival sweep per
+(source, height), driven by the synchronous or the timed flows-to.
+It is fast enough for random runs of every size the tests draw.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, Dict, List
 
+from repro.core.measures import (
+    NEVER,
+    LevelProfile,
+    earliest_arrivals,
+    earliest_input_arrivals,
+)
 from repro.core.run import Run
 from repro.core.types import ENVIRONMENT, INPUT_SEND_ROUND, MessageTuple
+from repro.timed.measures import (
+    timed_earliest_arrivals,
+    timed_earliest_input_arrivals,
+)
+from repro.timed.run import TimedRun
 
 
 def directly_flows(
@@ -138,3 +155,129 @@ def clip_ref(run: Run, process: int) -> Run:
         if flows_ref(run, m.target, m.round, process, run.num_rounds)
     )
     return Run(run.num_rounds, kept_inputs, kept_messages)
+
+
+# ----------------------------------------------------------------------
+# The per-source recursion, one earliest-arrival sweep per source.
+# ----------------------------------------------------------------------
+
+ArrivalsFn = Callable[[int, int], Dict[int, int]]
+
+
+def compute_profile_from_arrivals(
+    num_rounds: int,
+    num_processes: int,
+    base_thresholds: Dict[int, float],
+    arrivals_fn: ArrivalsFn,
+) -> LevelProfile:
+    """``t_h[j] = max_{i != j} earliest-arrival((i, t_{h-1}[i]) -> j)``.
+
+    ``arrivals_fn(source, start_round)`` returns the earliest-arrival
+    map from the pair ``(source, start_round)``.
+    """
+    processes = range(1, num_processes + 1)
+    thresholds: List[Dict[int, float]] = [dict(base_thresholds)]
+    while True:
+        previous = thresholds[-1]
+        if all(previous.get(j, NEVER) > num_rounds for j in processes):
+            thresholds.pop()
+            break
+        current: Dict[int, float] = {}
+        arrival_cache: Dict[int, Dict[int, int]] = {}
+        for i in processes:
+            start = previous.get(i, NEVER)
+            if start <= num_rounds:
+                arrival_cache[i] = arrivals_fn(i, int(start))
+        for j in processes:
+            worst: float = 0
+            for i in processes:
+                if i == j:
+                    continue
+                if i not in arrival_cache:
+                    worst = NEVER
+                    break
+                reached = arrival_cache[i].get(j)
+                if reached is None:
+                    worst = NEVER
+                    break
+                worst = max(worst, reached)
+            if worst is not NEVER and worst <= num_rounds:
+                current[j] = worst
+        if not current:
+            break
+        thresholds.append(current)
+        if len(thresholds) > num_rounds + 2:
+            raise AssertionError(
+                "level recursion exceeded its theoretical bound of N + 2"
+            )
+    return LevelProfile(num_rounds, num_processes, tuple(thresholds))
+
+
+def _modified_base(
+    num_processes: int,
+    input_arrivals: Dict[int, int],
+    coordinator_arrivals: Dict[int, int],
+) -> Dict[int, float]:
+    base: Dict[int, float] = {}
+    for j in range(1, num_processes + 1):
+        input_round = input_arrivals.get(j)
+        heard_round = coordinator_arrivals.get(j)
+        if input_round is not None and heard_round is not None:
+            base[j] = float(max(input_round, heard_round))
+    return base
+
+
+def level_profile_per_source(run: Run, num_processes: int) -> LevelProfile:
+    base = {j: float(r) for j, r in earliest_input_arrivals(run).items()}
+    return compute_profile_from_arrivals(
+        run.num_rounds,
+        num_processes,
+        base,
+        lambda source, start: earliest_arrivals(run, source, start),
+    )
+
+
+def modified_level_profile_per_source(
+    run: Run, num_processes: int, coordinator: int = 1
+) -> LevelProfile:
+    base = _modified_base(
+        num_processes,
+        earliest_input_arrivals(run),
+        earliest_arrivals(run, coordinator, 0),
+    )
+    return compute_profile_from_arrivals(
+        run.num_rounds,
+        num_processes,
+        base,
+        lambda source, start: earliest_arrivals(run, source, start),
+    )
+
+
+def timed_level_profile_per_source(
+    run: TimedRun, num_processes: int
+) -> LevelProfile:
+    base = {
+        j: float(r) for j, r in timed_earliest_input_arrivals(run).items()
+    }
+    return compute_profile_from_arrivals(
+        run.num_rounds,
+        num_processes,
+        base,
+        lambda source, start: timed_earliest_arrivals(run, source, start),
+    )
+
+
+def timed_modified_level_profile_per_source(
+    run: TimedRun, num_processes: int, coordinator: int = 1
+) -> LevelProfile:
+    base = _modified_base(
+        num_processes,
+        timed_earliest_input_arrivals(run),
+        timed_earliest_arrivals(run, coordinator, 0),
+    )
+    return compute_profile_from_arrivals(
+        run.num_rounds,
+        num_processes,
+        base,
+        lambda source, start: timed_earliest_arrivals(run, source, start),
+    )

@@ -10,6 +10,8 @@ the kernel is an integer-exact transcription, not an approximation.
 Below the results, the kernel's round step is checked state by state
 against the per-process loop it replaced, kept here as the oracle, and
 the incremental neighbor kernel is checked neighbor by neighbor.
+Last, Lemma 6.4 ties the kernel's final counts to the level
+definitions of :mod:`repro.core.measures`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.measures import level_profile, modified_level_profile
 from repro.core.packed import PackedRun, RunBatch, layout_for
 from repro.core.probability import evaluate
 from repro.core.run import bernoulli_run, good_run
@@ -467,3 +470,73 @@ class TestNeighborBatch:
                         ), (topology, protocol.name, parent.bits, bit)
                         checked += 1
         assert checked > 0
+
+
+# ----------------------------------------------------------------------
+# Lemma 6.4: the kernel's counts are the levels of core.measures.
+# ----------------------------------------------------------------------
+
+
+def _level_topologies() -> List[Tuple[str, Topology]]:
+    rng = random.Random(64)
+    randoms = [
+        (f"random-m{m}-p{density}", Topology.random_connected(m, density, rng))
+        for m in range(2, 9)
+        for density in (0.0, 0.4, 0.8)
+    ]
+    return randoms + [
+        ("grid3x3", Topology.grid(3, 3)),
+        ("ring6", Topology.ring(6)),
+        ("isolated-process", Topology.from_edges(3, [(1, 2)])),
+        ("isolated-coordinator", Topology.from_edges(4, [(2, 3)])),
+    ]
+
+
+class TestLemma64:
+    """Valid-gated counts are ``L_i(R)``; rfire-gated ones are ``ML_i(R)``.
+
+    Lemma 6.4 proves ``count_i = ML_i(R)`` for Protocol S's machine,
+    and the same argument without the rfire gate gives ``L_i(R)``.
+    Every search reads these counts, so they are checked against the
+    definitions here, not only against the reference simulator.
+    """
+
+    @pytest.mark.parametrize(
+        "topology",
+        [pytest.param(topology, id=name) for name, topology in _level_topologies()],
+    )
+    def test_counts_equal_levels(self, topology):
+        rng = random.Random(topology.num_processes * 7919 + len(topology.edges))
+        m = topology.num_processes
+        for num_rounds in (1, 3, 6, 10):
+            runs = [good_run(topology, num_rounds)]
+            for _ in range(15):
+                run = bernoulli_run(
+                    topology, num_rounds, rng.choice((0.3, 0.6, 0.9)), rng
+                )
+                if rng.random() < 0.3:
+                    run = run.with_inputs(
+                        i for i in run.inputs if rng.random() < 0.6
+                    )
+                runs.append(run)
+            delivered, inputs = vectorized.runs_to_tensors(
+                topology, num_rounds, runs
+            )
+            counts, _ = vectorized.simulate_counting_batch(
+                topology, delivered, inputs, rfire_gated=False
+            )
+            for lane, run in enumerate(runs):
+                levels = level_profile(run, m)
+                assert counts[lane].tolist() == [
+                    levels.final_level(i) for i in topology.processes
+                ], (run, "L")
+            for coordinator in (1, m):
+                counts, rknown = vectorized.simulate_counting_batch(
+                    topology, delivered, inputs, True, coordinator
+                )
+                masked = np.where(rknown, counts, 0)
+                for lane, run in enumerate(runs):
+                    mlevels = modified_level_profile(run, m, coordinator)
+                    assert masked[lane].tolist() == [
+                        mlevels.final_level(i) for i in topology.processes
+                    ], (run, "ML", coordinator)

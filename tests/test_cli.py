@@ -8,6 +8,7 @@ from repro.cli import (
     parse_protocol,
     parse_run,
     parse_topology,
+    topology_size,
 )
 from repro.core.run import chain_run, good_run
 from repro.core.topology import Topology
@@ -32,6 +33,21 @@ class TestTopologySpecs:
     def test_invalid_specs(self, bad):
         with pytest.raises(SpecError):
             parse_topology(bad)
+        with pytest.raises(SpecError):
+            topology_size(bad)
+
+    @pytest.mark.parametrize(
+        "spec", ["pair", "path:4", "ring:5", "star:4", "complete:3", "grid:2x3"]
+    )
+    def test_size_is_the_built_process_count(self, spec):
+        assert topology_size(spec) == parse_topology(spec).num_processes
+
+    def test_size_reads_huge_specs_without_building(self):
+        assert topology_size("complete:1000000") == 10**6
+        assert topology_size("grid:1000x2000") == 2 * 10**6
+
+    def test_cli_has_no_size_bound(self):
+        assert parse_topology("path:100").num_processes == 100
 
 
 class TestRunSpecs:
