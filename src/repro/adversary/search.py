@@ -13,6 +13,12 @@ can be honest about what was proven:
   run;
 * ``random``    — uniform random runs.
 
+Every strategy reads the adversary as a set of loss patterns: packed
+runs in a :class:`RunBatch` (or a greedy neighborhood), evaluated as
+result columns and scanned with the objective applied to the whole
+batch.  The exhaustive, family and random searches share one scan,
+:func:`_scan_batches`; only the winner is unpacked to a :class:`Run`.
+
 :func:`worst_case_unsafety` composes them: exhaustive when the space
 fits a budget, otherwise families + greedy refinement + random probes.
 The objective is pluggable, so the same machinery also *minimizes*
@@ -41,7 +47,6 @@ import numpy as np
 
 from ..core.packed import (
     MAX_VECTOR_ORBIT_BITS,
-    PackedRun,
     RunBatch,
     enumerate_orbit_representatives,
     layout_for,
@@ -63,15 +68,17 @@ from .structured import RunFamily, standard_families
 
 logger = logging.getLogger(__name__)
 
-#: The value a search maximizes, computed from evaluation results.  An
-#: objective must be *elementwise over result fields*: the searches
-#: apply it to one run's :class:`EventProbabilities` (family, random
-#: and greedy search) and expect a float, and the exhaustive sweep
-#: applies it to a whole batch's :class:`EventColumns` and expects the
-#: float64 array of those same values, one per run — e.g.
-#: ``result.pr_partial_attack`` or ``-result.pr_total_attack``, which
-#: read the same on both.  A sweep given anything but one value per
-#: run raises ``TypeError`` instead of scanning a wrong column.
+#: The value a search maximizes, computed from evaluation results.
+#: Every search applies an objective to a batch's :class:`EventColumns`
+#: and expects a float64 array with one value per run, which must be
+#: the objective of that run's row:
+#: ``objective(columns)[j] == objective(columns.rows()[j])``.  Any
+#: elementwise expression over result fields qualifies — e.g.
+#: ``result.pr_partial_attack``, ``-result.pr_total_attack``, or
+#: ``result.pr_attack[-1] - result.pr_attack[0]``, since ``pr_attack``
+#: is process-major on both forms.  A search given anything but one
+#: value per run raises ``TypeError`` instead of scanning a wrong
+#: column.
 Objective = Callable[[Union[EventProbabilities, EventColumns]], Any]
 
 #: Below this run-space size :func:`worst_case_unsafety` runs the
@@ -92,9 +99,8 @@ def _resolve_engine(engine):
     """The engine to search with: the caller's, or the process default.
 
     Routing every search through an :class:`repro.engine.Engine` is
-    what batches run evaluation (numpy backend where supported) and
-    memoizes exact results, so repeated certification passes stop
-    re-simulating the same runs.
+    what sends its batches to the numpy kernel where it supports the
+    protocol, and to the memoized reference path everywhere else.
     """
     if engine is None:
         from ..engine import default_engine
@@ -144,56 +150,6 @@ class SearchResult:
         )
 
 
-def _search_over(
-    protocol: Protocol,
-    topology: Topology,
-    rows: List[PackedRun],
-    objective: Objective,
-    certification: str,
-    strategy: str,
-    engine=None,
-) -> SearchResult:
-    """Maximize over packed runs; only the winner is unpacked."""
-    engine = _resolve_engine(engine)
-    if not rows:
-        raise ValueError(f"{strategy} search was given no runs")
-    with engine.obs.tracer.span(
-        f"search.{strategy}",
-        protocol=protocol.name,
-        topology=topology.describe(),
-        runs=len(rows),
-        certification=certification,
-    ):
-        results = engine.evaluate_many(
-            protocol, topology, rows, trials=SEARCH_TRIALS
-        )
-        # Scan in submission order with a strict ``>``, so the winner
-        # (the first run attaining the maximum) matches the historical
-        # serial loop exactly.
-        best_value = float("-inf")
-        best: Optional[PackedRun] = None
-        for row, result in zip(rows, results):
-            value = objective(result)
-            if value > best_value:
-                best_value = value
-                best = row
-    engine.obs.metrics.counter("search.runs_examined").inc(len(rows))
-    logger.debug(
-        "%s search on %s: value=%.6f over %d runs",
-        strategy,
-        topology.describe(),
-        best_value,
-        len(rows),
-    )
-    return SearchResult(
-        best_value,
-        best.unpack() if best is not None else None,
-        len(rows),
-        certification,
-        strategy,
-    )
-
-
 #: Packed exhaustive sweeps evaluate this many runs per kernel batch.
 EXHAUSTIVE_CHUNK = 4_096
 
@@ -236,46 +192,72 @@ def _exhaustive_batches(
         yield RunBatch(layout, runs[start : start + EXHAUSTIVE_CHUNK, None])
 
 
+def _values(objective: Objective, columns: EventColumns) -> np.ndarray:
+    """The objective's value for every run of ``columns``."""
+    values = objective(columns)
+    if not isinstance(values, np.ndarray) or values.shape != (len(columns),):
+        raise TypeError(
+            f"objective {getattr(objective, '__name__', objective)!r} is "
+            "not elementwise over result fields: on a batch of "
+            f"{len(columns)} runs it returned "
+            f"{getattr(values, 'shape', type(values).__name__)}, not one "
+            "value per run"
+        )
+    return values
+
+
 def _scan_batches(
     protocol: Protocol,
     topology: Topology,
     batches: Iterable[RunBatch],
     objective: Objective,
     engine,
+    strategy: str,
+    **attributes: Any,
 ) -> Tuple[float, Optional[Run], int]:
     """Scan kernel batches; the first run attaining the maximum wins.
 
-    Returns ``(best_value, witness, examined)``.  The objective maps
-    each batch's result columns to one value per run; the first
-    ``argmax`` of a batch competes with the earlier batches' winner
-    under a strict ``>``, so the witness is the first maximizer in
-    enumeration order — the run a one-big-list scan would pick — and
-    only it is unpacked.
+    The one scan of the exhaustive, family and random searches, under
+    one ``search.<strategy>`` span.  Returns ``(best_value, witness,
+    examined)``.  Each batch is evaluated as result columns and the
+    objective maps them to one value per run; the first ``argmax`` of
+    a batch competes with the earlier batches' winner under a strict
+    ``>``, so the witness is the first maximizer in submission order —
+    the run a one-big-list scan would pick — and only it is unpacked.
     """
     best_value = float("-inf")
     best: Optional[Tuple[RunBatch, int]] = None
     examined = 0
-    for batch in batches:
-        columns = engine.evaluate_packed_many(
-            protocol, topology, batch, trials=SEARCH_TRIALS
-        )
-        values = objective(columns)
-        if not isinstance(values, np.ndarray) or values.shape != (len(batch),):
-            raise TypeError(
-                f"objective {getattr(objective, '__name__', objective)!r} is "
-                "not elementwise over result fields: on a batch of "
-                f"{len(batch)} runs it returned "
-                f"{getattr(values, 'shape', type(values).__name__)}, not one "
-                "value per run"
+    with engine.obs.tracer.span(
+        f"search.{strategy}",
+        protocol=protocol.name,
+        topology=topology.describe(),
+        **attributes,
+    ):
+        for batch in batches:
+            if not len(batch):
+                continue
+            columns = engine.evaluate_packed_many(
+                protocol, topology, batch, trials=SEARCH_TRIALS
             )
-        index = int(np.argmax(values))
-        if values[index] > best_value:
-            best_value = float(values[index])
-            best = (batch, index)
-        examined += len(batch)
-    if examined == 0:
-        raise ValueError("exhaustive search was given no runs")
-    return best_value, best[0].unpack(best[1]) if best else None, examined
+            values = _values(objective, columns)
+            index = int(np.argmax(values))
+            if values[index] > best_value:
+                best_value = float(values[index])
+                best = (batch, index)
+            examined += len(batch)
+        if examined == 0:
+            raise ValueError(f"{strategy} search was given no runs")
+        witness = best[0].unpack(best[1]) if best else None
+    engine.obs.metrics.counter("search.runs_examined").inc(examined)
+    logger.debug(
+        "%s search on %s: value=%.6f over %d runs",
+        strategy,
+        topology.describe(),
+        best_value,
+        examined,
+    )
+    return best_value, witness, examined
 
 
 def exhaustive_search(
@@ -301,12 +283,15 @@ def exhaustive_search(
     returns non-``None``), enumeration visits one representative per
     orbit of the automorphism subgroup fixing the protocol's
     distinguished vertices (and stabilizing ``fixed_inputs`` if set).
-    The maximum is exact — the objective takes the same value on every
-    run of an orbit — and ``runs_examined``/``reduction_factor``
-    report the savings; the ``limit`` guard then applies to the
-    reduced count.  The default (``False``) keeps the full sweep, so
-    results — witness, ``runs_examined``, tie-breaking — are
-    unchanged for existing callers.
+    The maximum is exact only for an objective that takes the same
+    value on every run of an orbit, as ``Pr[PA | R]`` and ``Pr[TA |
+    R]`` do; one that names processes (say ``Pr[D_3] - Pr[D_1]``) is
+    not invariant under automorphisms that move them, and must not be
+    reduced.  ``runs_examined``/``reduction_factor`` report the
+    savings; the ``limit`` guard then applies to the reduced count.
+    The default (``False``) keeps the full sweep, so results —
+    witness, ``runs_examined``, tie-breaking — are unchanged for
+    existing callers.
     """
     engine = _resolve_engine(engine)
     adversary = StrongAdversary(fixed_inputs=fixed_inputs)
@@ -335,44 +320,29 @@ def exhaustive_search(
             f"enumeration limit of {limit}{reduced}; "
             "use repro.adversary.search"
         )
-    with engine.obs.tracer.span(
-        "search.exhaustive",
-        protocol=protocol.name,
-        topology=topology.describe(),
+    best_value, best_run, examined = _scan_batches(
+        protocol,
+        topology,
+        _exhaustive_batches(adversary, topology, num_rounds, fixing, tables, budget),
+        objective,
+        engine,
+        "exhaustive",
         runs=space,
         certification="exact",
         symmetry_reduction=fixing is not None,
-    ):
-        best_value, best_run, examined = _scan_batches(
-            protocol,
-            topology,
-            _exhaustive_batches(
-                adversary, topology, num_rounds, fixing, tables, budget
-            ),
-            objective,
-            engine,
-        )
-        if fixing is not None and examined > limit:
-            raise ValueError(
-                f"orbit-reduced enumeration produced {examined} "
-                f"representatives, above the limit of {limit}"
-            )
-    engine.obs.metrics.counter("search.runs_examined").inc(examined)
-    reduction = space / examined if fixing is not None else None
-    logger.debug(
-        "exhaustive search on %s: value=%.6f over %d of %d runs",
-        topology.describe(),
-        best_value,
-        examined,
-        space,
     )
+    if fixing is not None and examined > limit:
+        raise ValueError(
+            f"orbit-reduced enumeration produced {examined} "
+            f"representatives, above the limit of {limit}"
+        )
     return SearchResult(
         best_value,
         best_run,
         examined,
         "exact",
         "exhaustive",
-        reduction_factor=reduction,
+        reduction_factor=space / examined if fixing is not None else None,
     )
 
 
@@ -384,18 +354,18 @@ def family_search(
     families: Optional[Sequence[RunFamily]] = None,
     engine=None,
 ) -> SearchResult:
-    """Maximize over the structured families, in family order."""
+    """Maximize over the structured families: one batch, in family order."""
     if families is None:
         families = standard_families()
     layout = layout_for(topology, num_rounds)
-    rows = [
-        PackedRun(layout, bits)
-        for family in families
-        for bits in family.generate(layout)
-    ]
-    return _search_over(
-        protocol, topology, rows, objective, "family", "family", engine=engine
+    batch = RunBatch.from_bits(
+        layout, (bits for family in families for bits in family.generate(layout))
     )
+    value, run, examined = _scan_batches(
+        protocol, topology, (batch,), objective, _resolve_engine(engine),
+        "family", runs=len(batch), certification="family",
+    )
+    return SearchResult(value, run, examined, "family", "family")
 
 
 def random_search(
@@ -411,11 +381,14 @@ def random_search(
     if rng is None:
         rng = spawn_random(0, "adversary", "random-search")
     layout = layout_for(topology, num_rounds)
-    rows = [PackedRun(layout, random_bits(layout, rng)) for _ in range(samples)]
-    return _search_over(
-        protocol, topology, rows, objective, "heuristic", "random",
-        engine=engine,
+    batch = RunBatch.from_bits(
+        layout, (random_bits(layout, rng) for _ in range(samples))
     )
+    value, run, examined = _scan_batches(
+        protocol, topology, (batch,), objective, _resolve_engine(engine),
+        "random", runs=len(batch), certification="heuristic",
+    )
+    return SearchResult(value, run, examined, "heuristic", "random")
 
 
 def greedy_search(
@@ -433,19 +406,19 @@ def greedy_search(
     flip (add/remove a message delivery, toggle an input) that most
     improves the objective, until a pass yields no improvement or the
     pass budget is exhausted.  Each pass asks the engine for the whole
-    neighborhood at once (:meth:`Engine.evaluate_neighbors`, which
-    resumes simulation from the flipped round where the vectorized
-    kernel applies).  Candidates are tried message bits ascending,
-    then input bits — the order of :func:`all_message_tuples` and then
-    the processes — and the first strict improvement wins ties.
-    Raises ``ValueError`` if ``seed_run`` does not fit the
-    ``num_rounds`` layout of ``topology``.
+    neighborhood as result columns (:meth:`Engine.evaluate_neighbors`,
+    which resumes simulation from the flipped round where the
+    vectorized kernel applies) and applies the objective to them once.
+    Candidates are tried message bits ascending, then input bits — the
+    order of :func:`all_message_tuples` and then the processes — and
+    the first strict improvement wins ties.  Raises ``ValueError`` if
+    ``seed_run`` does not fit the ``num_rounds`` layout of
+    ``topology``.
     """
     engine = _resolve_engine(engine)
     current = layout_for(topology, num_rounds).pack(seed_run)
     layout = current.layout
     m = layout.num_processes
-    bit_order = list(range(m, layout.num_bits)) + list(range(m))
     with engine.obs.tracer.span(
         "search.greedy",
         protocol=protocol.name,
@@ -455,27 +428,23 @@ def greedy_search(
         current_value: Optional[float] = None
         examined = 1
         for _ in range(max_passes):
-            parent_result, by_bit = engine.evaluate_neighbors(
-                protocol, topology, current
+            values = _values(
+                objective, engine.evaluate_neighbors(protocol, topology, current)
             )
             if current_value is None:
-                current_value = objective(parent_result)
+                current_value = float(values[0])
             examined += layout.num_bits
-            best_bit: Optional[int] = None
-            best_value = current_value
-            for bit in bit_order:
-                value = objective(by_bit[bit])
-                if value > best_value:
-                    best_bit = bit
-                    best_value = value
-            if best_bit is None:
+            # Bit order: the message bits, then the input bits.
+            ordered = np.concatenate((values[1 + m :], values[1 : 1 + m]))
+            index = int(np.argmax(ordered))
+            if not ordered[index] > current_value:
                 break
-            current = current.with_bit_flipped(best_bit)
-            current_value = best_value
+            current = current.with_bit_flipped((index + m) % layout.num_bits)
+            current_value = float(ordered[index])
         if current_value is None:  # max_passes <= 0: just score the seed
-            current_value = objective(
-                engine.evaluate(protocol, topology, seed_run)
-            )
+            seed = RunBatch.from_bits(layout, (current.bits,))
+            columns = engine.evaluate_packed_many(protocol, topology, seed)
+            current_value = float(_values(objective, columns)[0])
     engine.obs.metrics.counter("search.runs_examined").inc(examined)
     logger.debug(
         "greedy search on %s: value=%.6f over %d runs",

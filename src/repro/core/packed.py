@@ -226,12 +226,6 @@ class RunLayout:
         """uint64 words per run in a :class:`RunBatch`."""
         return max(1, (self.num_bits + 63) // 64)
 
-    def bits_to_words(self, bits: int) -> Tuple[int, ...]:
-        mask = (1 << 64) - 1
-        return tuple(
-            (bits >> (64 * w)) & mask for w in range(self.num_words)
-        )
-
     def words_to_bits(self, words: Sequence[int]) -> int:
         bits = 0
         for w, word in enumerate(words):
@@ -331,11 +325,14 @@ class RunBatch:
     def from_bits(
         cls, layout: RunLayout, bits: Iterable[int]
     ) -> "RunBatch":
-        rows = [layout.bits_to_words(b) for b in bits]
-        words = np.array(rows, dtype=np.uint64).reshape(
-            len(rows), layout.num_words
+        num_words = layout.num_words
+        if num_words == 1:
+            return cls(layout, np.fromiter(bits, dtype=np.uint64)[:, None])
+        mask = (1 << 64) - 1
+        rows = [[(b >> (64 * w)) & mask for w in range(num_words)] for b in bits]
+        return cls(
+            layout, np.array(rows, dtype=np.uint64).reshape(len(rows), num_words)
         )
-        return cls(layout, words)
 
     @classmethod
     def from_packed(cls, runs: Sequence[PackedRun]) -> "RunBatch":

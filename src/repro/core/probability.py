@@ -105,12 +105,15 @@ class EventProbabilities:
 class EventColumns:
     """:class:`EventProbabilities` for a batch of runs, one column per field.
 
-    Entry ``i`` of each float64 column belongs to run ``i`` of the
-    batch; ``pr_attack`` has shape ``(n, m)``.  The arrays are frozen
-    (numpy ``writeable=False``): the vectorized kernel that builds them
-    is a memo-cacheable function, so its results must be immutable
-    values.  This is the one place rows are built from columns
-    (:meth:`rows`) and columns from rows (:meth:`from_rows`).
+    Entry ``j`` of each float64 column belongs to run ``j`` of the
+    batch.  ``pr_attack`` is process-major, shape ``(m, n)``: row
+    ``i - 1`` holds ``Pr[D_i | R]`` for every run, so an expression
+    over result fields reads the same on a batch as on one run
+    (``result.pr_attack[-1]`` is the last process on both).  The arrays
+    are frozen (numpy ``writeable=False``): the vectorized kernel that
+    builds them is a memo-cacheable function, so its results must be
+    immutable values.  This is the one place rows are built from
+    columns (:meth:`rows`) and columns from rows (:meth:`from_rows`).
     """
 
     pr_total_attack: np.ndarray
@@ -128,6 +131,20 @@ class EventColumns:
             self.pr_attack,
         ):
             column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.pr_partial_attack)
+
+    def __getitem__(self, runs: slice) -> "EventColumns":
+        """The columns of a slice of the batch's runs (views, no copy)."""
+        return EventColumns(
+            pr_total_attack=self.pr_total_attack[runs],
+            pr_no_attack=self.pr_no_attack[runs],
+            pr_partial_attack=self.pr_partial_attack[runs],
+            pr_attack=self.pr_attack[:, runs],
+            method=self.method,
+            trials=self.trials,
+        )
 
     @classmethod
     def from_rows(
@@ -150,7 +167,7 @@ class EventColumns:
             ),
             pr_attack=np.array(
                 [row.pr_attack for row in rows], dtype=np.float64
-            ).reshape(len(rows), num_processes),
+            ).reshape(len(rows), num_processes).T,
             method=method,
             trials=trials,
         )
@@ -170,7 +187,7 @@ class EventColumns:
                 self.pr_total_attack.tolist(),
                 self.pr_no_attack.tolist(),
                 self.pr_partial_attack.tolist(),
-                self.pr_attack.tolist(),
+                self.pr_attack.T.tolist(),
             )
         ]
 

@@ -26,9 +26,12 @@ Results whose method is exact (closed form or enumeration) are
 memoized in a pluggable :class:`~repro.engine.cache.EngineCache`
 (default: a bounded FIFO :class:`~repro.engine.cache.InProcessCache`)
 keyed on the hashable, immutable ``(protocol, topology, run)`` triple,
-so greedy and random searches stop re-simulating duplicate neighbors
-and repeated certification passes (e.g. E16's family search after an
-exhaustive sweep) become cache hits.  Serving shards use the
+so repeated runs — a served hot set, a certification pass that
+revisits runs on the reference path — become cache hits.  Packed
+input the vectorized kernel takes whole (the searches' sweeps, probe
+batches and neighborhoods) never meets the cache: each such run is
+evaluated once per call, and per-run memo traffic would cost more
+than the kernel saves.  Serving shards use the
 snapshot-capable :class:`~repro.engine.cache.ShardLocalCache` variant
 for warm starts.  Monte-Carlo results are never cached: caching them
 would silently freeze sampling noise and perturb downstream rng
@@ -644,29 +647,29 @@ class Engine:
     ) -> EventColumns:
         """Evaluate a :class:`RunBatch` as result columns, in batch order.
 
-        The bulk entry point of the exhaustive sweeps.  When the
-        vectorized kernel takes the batch, its words feed the kernel
-        directly and its columns are the answer — no ``Run`` and no
-        per-run result object exists at any point — and the memo cache
-        is bypassed: a sweep visits each run exactly once, so per-run
-        memo traffic would only add overhead and evict genuinely
-        reusable entries.  On any other backend the batch is cached and
-        evaluated like :meth:`evaluate_many` over its unpacked runs and
-        the rows are stacked, so the call is total either way and the
-        columns are bit-identical across backends.
+        The bulk entry point of every search stage but greedy
+        refinement.  When the vectorized kernel takes the batch, its
+        words feed the kernel directly and its columns are the answer —
+        no ``Run`` and no per-run result object exists at any point —
+        and the memo cache is bypassed: a search batch is fresh, so
+        per-run memo traffic would only add overhead and evict
+        genuinely reusable entries.  On any other backend the batch is
+        cached and evaluated like :meth:`evaluate_many` over its
+        unpacked runs and the rows are stacked, so the call is total
+        either way and the columns are bit-identical across backends.
         """
-        results = self._pipeline(
-            "engine.evaluate_packed_many",
-            protocol,
-            topology,
-            batch,
-            method,
-            trials,
-            runs=len(batch),
+        return cast(
+            EventColumns,
+            self._pipeline(
+                "engine.evaluate_packed_many",
+                protocol,
+                topology,
+                batch,
+                method,
+                trials,
+                runs=len(batch),
+            ),
         )
-        if isinstance(results, EventColumns):
-            return results
-        return EventColumns.from_rows(results, topology.num_processes)
 
     def evaluate_neighbors(
         self,
@@ -675,21 +678,20 @@ class Engine:
         parent: PackedRun,
         method: str = "auto",
         trials: int = DEFAULT_TRIALS,
-    ) -> Tuple[EventProbabilities, List[EventProbabilities]]:
-        """A run and all of its single-bit neighbors.
+    ) -> EventColumns:
+        """A run and all of its single-bit neighbors, as result columns.
 
-        Returns ``(parent_result, by_bit)``, where ``by_bit[b]`` is the
-        result for ``parent`` with bit ``b`` flipped.  When the
-        vectorized kernel takes the neighborhood it is evaluated
-        incrementally — see
+        Entry 0 is ``parent`` and entry ``1 + b`` is ``parent`` with
+        bit ``b`` flipped.  When the vectorized kernel takes the
+        neighborhood it is evaluated incrementally — see
         :func:`repro.engine.vectorized.evaluate_neighbor_batch`; each
         neighbor re-derives its counts from the parent's per-round
-        state instead of simulating from scratch — and every result is
-        memoized under the packed cache keys.  On any other backend
-        the parent and its neighbors are one cached batch.
+        state instead of simulating from scratch — and nothing is
+        stored.  On any other backend the parent and its neighbors are
+        one cached batch.
         """
-        results = cast(
-            List[EventProbabilities],
+        return cast(
+            EventColumns,
             self._pipeline(
                 "engine.evaluate_neighbors",
                 protocol,
@@ -700,7 +702,6 @@ class Engine:
                 neighbors=parent.layout.num_bits,
             ),
         )
-        return results[0], results[1:]
 
     def _pipeline(
         self,
@@ -719,20 +720,19 @@ class Engine:
         ``source`` is one run (a scalar call), a list of runs (each a
         ``Run`` or a ``PackedRun``), a :class:`RunBatch`, or a
         :class:`PackedRun` standing for itself followed by its
-        single-bit neighbors in bit order.  Runs are
-        packed once, on entry: the packed form is both their cache key
-        and the kernel's input.  Runs are looked up in the memo cache,
-        the misses go to the backend :meth:`_route` picks for their
-        count, duplicates among them are evaluated once, and exact
-        results are stored.
+        single-bit neighbors in bit order.  Runs are packed once, on
+        entry: the packed form is both their cache key and the
+        kernel's input.  Runs are looked up in the memo cache, the
+        misses go to the backend :meth:`_route` picks for their count,
+        duplicates among them are evaluated once, and exact results
+        are stored; a list returns one result per run.
 
-        Packed input is fresh by construction — an enumeration sweep
-        or a neighborhood — so it is routed before any lookup, and the
-        kernel takes it whole without one.  A neighborhood still stores
-        its results for later calls; a sweep, whose runs are never
-        revisited, stores nothing and returns the kernel's columns.
-        Every other source returns one result per run.  Any other
-        backend meets the cache with packed input as with any batch.
+        Packed input — a batch or a neighborhood — is fresh by
+        construction, so it is routed before any lookup and returns
+        :class:`EventColumns`.  When the kernel takes it, the kernel's
+        columns are the answer: nothing is looked up, deduplicated or
+        stored.  Any other backend meets the cache with packed input as
+        with a list, and the rows are stacked.
         """
         runs: Union[List[_Row], RunBatch, PackedRun] = (
             [source] if isinstance(source, Run) else source
@@ -744,36 +744,33 @@ class Engine:
             self._runs_counter.value += size
             if not isinstance(source, Run):
                 self._batch_counter.value += 1
-            results: List[Optional[EventProbabilities]] = [None] * size
-            fresh = not isinstance(runs, list)
-            rows: List[_Row] = []
-            keys: List[Optional[tuple]] = []
-            pending: Sequence[int] = range(size)
-            if not fresh:
-                rows, keys = _keyed_rows(protocol, topology, runs, method, trials)
-                pending = self._lookup(keys, results)
-            route = self._route(protocol, topology, method, len(pending))
-            span.set(backend=route)
-            if fresh and not (route == "vectorized" and isinstance(runs, RunBatch)):
-                # Off the kernel, packed input meets the cache like any
-                # batch (fewer runs cannot route it to the kernel); on
-                # it, a neighborhood is stored but not looked up.
-                rows, keys = _keyed_rows(protocol, topology, runs, method, trials)
-                if route != "vectorized":
-                    pending = self._lookup(keys, results)
-            with self._timed(operation, size, len(pending)):
+            route: Optional[str] = None
+            if not isinstance(runs, list):
+                route = self._route(protocol, topology, method, size)
                 if route == "vectorized":
-                    if isinstance(runs, RunBatch):
-                        # A sweep the kernel takes whole: its columns are
-                        # the answer, and nothing is stored.
+                    span.set(backend=route)
+                    with self._timed(operation, size, size):
                         from . import vectorized
 
-                        columns = vectorized.evaluate_packed_batch(
-                            protocol, topology, runs
-                        )
+                        if isinstance(runs, RunBatch):
+                            columns = vectorized.evaluate_packed_batch(
+                                protocol, topology, runs
+                            )
+                        else:
+                            columns = vectorized.evaluate_neighbor_batch(
+                                protocol, topology, runs
+                            )[0]
                         self._vectorized_counter.value += size
-                        return columns
-                    self._kernel(protocol, topology, runs, rows, pending, results)
+                    return columns
+            results: List[Optional[EventProbabilities]] = [None] * size
+            rows, keys = _keyed_rows(protocol, topology, runs, method, trials)
+            pending = self._lookup(keys, results)
+            if route is None:
+                route = self._route(protocol, topology, method, len(pending))
+            span.set(backend=route)
+            with self._timed(operation, size, len(pending)):
+                if route == "vectorized":
+                    self._kernel(protocol, topology, rows, pending, results)
                 else:
                     # In order, so Monte-Carlo runs consume the rng as
                     # a serial loop would; exact results serve repeats.
@@ -817,27 +814,22 @@ class Engine:
                     from ..obs.exec_trace import trace_execution
 
                     trace_execution(protocol, topology, source, self.obs.tracer)
-            return cast(List[EventProbabilities], results)  # every slot filled
+            filled = cast(List[EventProbabilities], results)  # every slot filled
+            if isinstance(runs, list):
+                return filled
+            return EventColumns.from_rows(filled, topology.num_processes)
 
     def _kernel(
         self,
         protocol: Protocol,
         topology: Topology,
-        runs: Union[List[_Row], PackedRun],
         rows: List[_Row],
         pending: Sequence[int],
         results: List[Optional[EventProbabilities]],
     ) -> None:
-        """Fill ``results[pending]`` from the vectorized kernel."""
+        """Fill ``results[pending]`` of a list of runs from the kernel."""
         from . import vectorized
 
-        if isinstance(runs, PackedRun):
-            parent_result, by_bit = vectorized.evaluate_neighbor_batch(
-                protocol, topology, runs
-            )
-            results[:] = [parent_result, *by_bit]
-            self._vectorized_counter.value += len(results)
-            return
         # Deduplicate, and batch by layout: one horizon per kernel call.
         groups: Dict[RunLayout, Dict[int, List[int]]] = {}
         for index in pending:

@@ -328,14 +328,14 @@ def simulate_counting_history(
 def _protocol_s_columns(
     counts: np.ndarray, rknown: np.ndarray, epsilon: float
 ) -> EventColumns:
-    """Protocol S probabilities from batch counts — transcribed
+    """Protocol S probabilities from ``(m, lanes)`` counts — transcribed
     operation-for-operation from ``ProtocolS.closed_form_probabilities``
     (``min``/``max`` become ``np.minimum``/``np.maximum`` over columns)
     so the floats match the reference bit-for-bit."""
     t = 1.0 / epsilon
     thresholds = np.where(rknown, counts, np.int64(0))
-    pr_ta = np.minimum(1.0, thresholds.min(axis=1) / t)
-    pr_na = np.maximum(0.0, 1.0 - thresholds.max(axis=1) / t)
+    pr_ta = np.minimum(1.0, thresholds.min(axis=0) / t)
+    pr_na = np.maximum(0.0, 1.0 - thresholds.max(axis=0) / t)
     pr_pa = np.maximum(0.0, 1.0 - pr_ta - pr_na)
     return EventColumns(
         pr_total_attack=pr_ta,
@@ -347,10 +347,11 @@ def _protocol_s_columns(
 
 
 def _protocol_w_columns(counts: np.ndarray, threshold: int) -> EventColumns:
-    """Protocol W probabilities (deterministic 0/1) from batch counts."""
+    """Protocol W probabilities (deterministic 0/1) from ``(m, lanes)``
+    counts."""
     attacks = counts >= threshold
-    all_attack = attacks.all(axis=1)
-    none_attack = ~attacks.any(axis=1)
+    all_attack = attacks.all(axis=0)
+    none_attack = ~attacks.any(axis=0)
     return EventColumns(
         pr_total_attack=all_attack.astype(np.float64),
         pr_no_attack=none_attack.astype(np.float64),
@@ -385,9 +386,9 @@ def _protocol_kernel(
     """Dispatch a supported protocol to its kernel configuration.
 
     Returns ``(rfire_gated, coordinator, finisher)`` where ``finisher``
-    maps the final ``(counts, rknown)`` arrays to the batch's exact
-    probabilities as columns.  Raises ``ValueError`` for unsupported
-    protocols.
+    maps the final ``(counts, rknown)`` arrays, process-major like the
+    kernel's state, to the batch's exact probabilities as columns.
+    Raises ``ValueError`` for unsupported protocols.
     """
     from ..protocols.protocol_s import ProtocolS
     from ..protocols.weak_adversary import ProtocolW
@@ -442,25 +443,26 @@ def evaluate_packed_batch(
     counts, rknown = simulate_counting_batch(
         topology, delivered, inputs, rfire_gated, coordinator
     )
-    return finish(counts, rknown)
+    return finish(counts.T, rknown.T)
 
 
 def evaluate_neighbor_batch(
     protocol: Protocol, topology: Topology, parent: PackedRun
-) -> Tuple[EventProbabilities, List[EventProbabilities]]:
+) -> Tuple[EventColumns, EventColumns]:
     """Evaluate a run and every single-bit neighbor incrementally.
 
-    Returns ``(parent_result, by_bit)`` where ``by_bit[b]`` is the
-    exact result for the parent with bit ``b`` flipped (every bit of
-    the layout appears).  The parent is simulated once with its
-    per-round state history retained; a neighbor differing in a
-    round-``q`` delivery shares the parent's prefix state before round
-    ``q`` (the counting machine is causal), so only rounds ``q..N``
-    are re-simulated — all ``L`` round-``q`` neighbors in one resumed
-    batch.  Input-bit flips change the initial state and take a full
-    (but still batched) re-simulation.  Every lane goes through the
-    same :func:`_advance_rounds` loop as a from-scratch evaluation,
-    so the results are bit-identical to it.
+    Returns ``(neighborhood, by_bit)``: the columns of the parent
+    followed by its neighbors in bit order, and the same columns
+    without the parent, so ``by_bit`` holds one run per layout bit.
+    The parent is simulated once with its per-round state history
+    retained; a neighbor differing in a round-``q`` delivery resumes
+    from the parent's state before round ``q`` (the counting machine
+    is causal), all ``L`` round-``q`` neighbors in one batch.
+    Input-bit flips change the initial state and re-run the whole
+    horizon in one ``m``-lane batch.  Every lane goes through the same
+    :func:`_advance_rounds` loop as a from-scratch evaluation, and one
+    finisher call covers all lanes, so the results are bit-identical
+    to it.
     """
     layout = parent.layout
     if layout.topology != topology:
@@ -469,43 +471,39 @@ def evaluate_neighbor_batch(
     plan = _plan(topology)
     m = layout.num_processes
     num_links = layout.num_links
-    delivered, inputs = RunBatch.from_bits(
-        layout, (parent.bits,)
-    ).tensors()
+    delivered, inputs = RunBatch.from_bits(layout, (parent.bits,)).tensors()
     states = simulate_counting_history(
         topology, delivered, inputs, rfire_gated, coordinator
     )
-    parent_result = finish(states[-1].count.T, states[-1].rknown.T).rows()[0]
-    by_bit: List[EventProbabilities] = [parent_result] * layout.num_bits
-
     # Input-bit neighbors: the flip changes the initial state, so the
-    # whole horizon re-runs — one m-lane batch.
+    # whole horizon re-runs.
     flipped_inputs = np.repeat(inputs, m, axis=0)
     flipped_inputs[np.arange(m), np.arange(m)] ^= True
-    counts, rknown = simulate_counting_batch(
-        topology,
-        np.repeat(delivered, m, axis=0),
-        flipped_inputs,
-        rfire_gated,
-        coordinator,
-    )
-    by_bit[:m] = finish(counts, rknown).rows()
-
-    # Message-bit neighbors, grouped by round: resume the L round-q
-    # lanes from the parent's pre-round-q state and advance the
-    # suffix only.
+    finals = [
+        states[-1],
+        _advance_rounds(
+            plan,
+            np.repeat(delivered, m, axis=0),
+            _initial_state(plan, flipped_inputs, rfire_gated, coordinator),
+            rfire_gated,
+        ),
+    ]
+    # Message-bit neighbors, by round: resume the L round-q lanes from
+    # the parent's pre-round-q state and advance the suffix only.
     lanes = np.arange(num_links)
     for flip_round in range(1, layout.num_rounds + 1):
         suffix = np.repeat(delivered[:, flip_round - 1 :, :], num_links, axis=0)
         suffix[lanes, 0, lanes] ^= True
-        resumed = _advance_rounds(
-            plan, suffix, states[flip_round - 1].tiled(num_links), rfire_gated
+        finals.append(
+            _advance_rounds(
+                plan, suffix, states[flip_round - 1].tiled(num_links), rfire_gated
+            )
         )
-        base = m + (flip_round - 1) * num_links
-        by_bit[base : base + num_links] = finish(
-            resumed.count.T, resumed.rknown.T
-        ).rows()
-    return parent_result, by_bit
+    neighborhood = finish(
+        np.concatenate([state.count for state in finals], axis=1),
+        np.concatenate([state.rknown for state in finals], axis=1),
+    )
+    return neighborhood, neighborhood[1:]
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,12 @@ REQUEST_BACKENDS = ("auto", "meanfield")
 MAX_CONCRETE_PROCESSES = MAX_VECTORIZED_PROCESSES
 MAX_CONCRETE_ROUNDS = 64
 
+#: The rounds bound of a ``backend: meanfield`` request.  The counter
+#: kernel costs time linear in rounds and nothing stops it once it
+#: starts: this bound keeps one request under about 0.1 s of engine
+#: time (DESIGN.md §10).  ``repro scale-sweep`` has no such bound.
+MAX_MEANFIELD_ROUNDS = 4_096
+
 
 class RequestError(ValueError):
     """A malformed evaluation request (answered with HTTP 400)."""
@@ -148,6 +154,11 @@ def _parse_scaled_payload(
     method: str,
 ) -> ScaledEvaluateRequest:
     """The ``backend: meanfield`` arm of :func:`parse_evaluate_payload`."""
+    if rounds > MAX_MEANFIELD_ROUNDS:
+        raise RequestError(
+            f"backend 'meanfield' takes rounds <= {MAX_MEANFIELD_ROUNDS}, "
+            f"got {rounds}"
+        )
     if method not in ("auto", "closed-form"):
         raise RequestError(
             f"backend 'meanfield' is exact; method {method!r} is not "
@@ -217,10 +228,12 @@ def parse_evaluate_payload(
 
     Raises :class:`RequestError` with a client-actionable message for
     anything malformed: unknown fields, bad types, specs the CLI
-    mini-language rejects, or a concrete request above
+    mini-language rejects, a ``file:PATH`` run (the server opens no
+    file a client names), or a concrete request above
     :data:`MAX_CONCRETE_PROCESSES` processes or
     :data:`MAX_CONCRETE_ROUNDS` rounds.  A ``backend: "meanfield"`` field selects
-    the scaled counter-abstraction path and yields a
+    the scaled counter-abstraction path, bounded at
+    :data:`MAX_MEANFIELD_ROUNDS` rounds, and yields a
     :class:`ScaledEvaluateRequest` instead.
     """
     known = {
@@ -267,6 +280,11 @@ def parse_evaluate_payload(
     if rounds > MAX_CONCRETE_ROUNDS:
         raise RequestError(
             f"rounds must be <= {MAX_CONCRETE_ROUNDS}, got {rounds}"
+        )
+    if run_spec.partition(":")[0] == "file":
+        raise RequestError(
+            f"run spec {run_spec!r} is not served: the server opens no file "
+            "a request names (evaluate it with `repro simulate --run file:PATH`)"
         )
     # The CLI's parsers are the single source of truth for the
     # mini-language; SpecError subclasses ValueError, so both spec and

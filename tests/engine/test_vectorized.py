@@ -115,8 +115,8 @@ class TestBatchParity:
                             assert getattr(columns, field).tolist() == [
                                 getattr(result, field) for result in expected
                             ]
-                        assert columns.pr_attack.shape == (len(runs), m)
-                        assert columns.pr_attack.tolist() == [
+                        assert columns.pr_attack.shape == (m, len(runs))
+                        assert columns.pr_attack.T.tolist() == [
                             list(result.pr_attack) for result in expected
                         ]
                         assert columns.rows() == expected
@@ -456,14 +456,16 @@ class TestNeighborBatch:
             ]
             for protocol in protocols:
                 for parent in parents:
-                    parent_result, by_bit = vectorized.evaluate_neighbor_batch(
+                    neighborhood, by_bit = vectorized.evaluate_neighbor_batch(
                         protocol, topology, parent
                     )
+                    parent_result, *neighbors = neighborhood.rows()
                     assert parent_result == evaluate(
                         protocol, topology, parent.unpack()
                     )
                     assert len(by_bit) == layout.num_bits
-                    for bit, result in enumerate(by_bit):
+                    assert by_bit.rows() == neighbors
+                    for bit, result in enumerate(by_bit.rows()):
                         flipped = PackedRun(layout, parent.bits ^ (1 << bit))
                         assert result == evaluate(
                             protocol, topology, flipped.unpack()

@@ -207,7 +207,7 @@ class TestCliExports:
             for line in lines[1:]
         }
         assert "experiment.E1" in names
-        assert "engine.evaluate_many" in names
+        assert "engine.evaluate_packed_many" in names
         payload = json.loads(metrics_path.read_text())
         assert payload["schema_version"] == 1
         assert "engine.runs_evaluated" in payload["metrics"]

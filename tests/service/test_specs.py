@@ -13,7 +13,9 @@ from repro.service.config import ServiceConfig
 from repro.service.specs import (
     MAX_CONCRETE_PROCESSES,
     MAX_CONCRETE_ROUNDS,
+    MAX_MEANFIELD_ROUNDS,
     RequestError,
+    ScaledEvaluateRequest,
     evaluate_response,
     parse_evaluate_payload,
 )
@@ -144,3 +146,62 @@ def test_oversized_request_is_a_400_over_the_wire():
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
         assert "meanfield" in json.load(excinfo.value)["error"]
+
+
+# A client must not learn which server paths exist: a missing file and
+# an existing one get the same 400.
+FILE_RUNS = [
+    {"run": "file:/nonexistent", "topology": "pair", "rounds": 8},
+    {"run": f"file:{__file__}", "topology": "pair", "rounds": 8},
+]
+LONG_MEANFIELD = {
+    "protocol": "S:0.25",
+    "topology": "complete:1000",
+    "run": "cut:3",
+    "rounds": 10**8,
+    "backend": "meanfield",
+}
+
+
+@pytest.mark.parametrize("payload", FILE_RUNS, ids=["missing", "existing"])
+def test_file_runs_are_refused_before_opening(payload, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("parsed a file: run spec")
+
+    monkeypatch.setattr(repro.cli, "parse_run", forbidden)
+    with pytest.raises(RequestError, match="not served"):
+        parse_evaluate_payload(payload)
+
+
+def test_meanfield_rounds_are_bounded_before_building(monkeypatch):
+    bounded = parse_evaluate_payload(
+        dict(LONG_MEANFIELD, rounds=MAX_MEANFIELD_ROUNDS)
+    )
+    assert isinstance(bounded, ScaledEvaluateRequest)
+    assert bounded.rounds == MAX_MEANFIELD_ROUNDS
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a counter spec for an oversized request")
+
+    monkeypatch.setattr("repro.service.specs.scaled_spec", forbidden)
+    with pytest.raises(RequestError, match=f"rounds <= {MAX_MEANFIELD_ROUNDS}"):
+        parse_evaluate_payload(LONG_MEANFIELD)
+
+
+def test_file_runs_and_long_meanfield_requests_are_400s_over_the_wire():
+    with BackgroundServer(ServiceConfig(port=0)) as server:
+        url = f"http://{server.host}:{server.server.port}/v1/evaluate"
+        for payload, fragment in [
+            (FILE_RUNS[0], "not served"),
+            (FILE_RUNS[1], "not served"),
+            (LONG_MEANFIELD, f"rounds <= {MAX_MEANFIELD_ROUNDS}"),
+        ]:
+            request = urllib.request.Request(
+                url,
+                data=json.dumps(payload).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == 400
+            assert fragment in json.load(excinfo.value)["error"]
