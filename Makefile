@@ -48,7 +48,8 @@ artifacts:
 examples:
 	for script in examples/*.py; do echo "== $$script =="; python $$script; done
 
+# benchmarks/results and results hold tracked reports: clean keeps them.
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results results \
-	    src/repro.egg-info test_output.txt bench_output.txt
+	rm -rf .pytest_cache .hypothesis src/repro.egg-info \
+	    test_output.txt bench_output.txt
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

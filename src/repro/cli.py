@@ -553,7 +553,6 @@ def _cmd_serve(args) -> int:
         backend=args.backend,
         seed=args.seed,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit,
         workers=args.workers,
         deadline_ms=args.deadline_ms,
@@ -615,7 +614,6 @@ def _cmd_bench_serve(args) -> int:
             backend=args.backend,
             workers=args.workers,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             queue_limit=args.queue_limit,
             seed=args.seed,
         )
@@ -909,12 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=32,
             help="micro-batcher: flush once this many requests coalesce",
-        )
-        sub.add_argument(
-            "--max-wait-ms",
-            type=float,
-            default=2.0,
-            help="micro-batcher: batch-collection window in milliseconds",
         )
         sub.add_argument(
             "--queue-limit",

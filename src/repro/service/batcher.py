@@ -2,14 +2,14 @@
 
 Requests that share an :meth:`Engine.batch_key
 <repro.engine.Engine.batch_key>` — same protocol, topology, method,
-and trial count, only the run differs — are collected for up to
-``max_wait_s`` (or until ``max_batch`` of them pile up) and submitted
-as **one** :meth:`Engine.evaluate_many
-<repro.engine.Engine.evaluate_many>` call.  Under concurrent load
-this turns N scalar evaluations into one vectorized batch plus one
-memo-cache sweep, which is where the serving path's throughput comes
-from; an idle service degrades to scalar calls delayed by at most the
-batch window.
+and trial count, only the run differs — are submitted as **one**
+:meth:`Engine.evaluate_many <repro.engine.Engine.evaluate_many>` call.
+A request that finds the engine thread idle is dispatched at once;
+requests that arrive while a batch computes coalesce (up to
+``max_batch``) into the next one, dispatched when that batch returns.
+Under concurrent load this turns N scalar evaluations into one
+vectorized batch plus one memo-cache sweep; an idle service degrades
+to scalar calls that wait on no clock.
 
 Engine work runs on a dedicated single-thread executor: the engine's
 memo cache is not thread-safe, and one worker thread both serializes
@@ -41,12 +41,11 @@ BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1
 class _PendingBatch:
     """One forming batch: requests plus the futures awaiting them."""
 
-    __slots__ = ("requests", "futures", "timer", "traces", "submitted")
+    __slots__ = ("requests", "futures", "traces", "submitted")
 
     def __init__(self) -> None:
         self.requests: List[EvaluateRequest] = []
         self.futures: List["asyncio.Future[EventProbabilities]"] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
         self.traces: List[Optional[TraceContext]] = []
         self.submitted: List[float] = []
 
@@ -59,16 +58,16 @@ class MicroBatcher:
         engine: Engine,
         metrics: MetricsRegistry,
         max_batch: int = 32,
-        max_wait_s: float = 0.002,
         audit: Optional[AuditLogger] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._engine = engine
         self._max_batch = max_batch
-        self._max_wait_s = max_wait_s
         self._audit = audit
         self._pending: Dict[tuple, _PendingBatch] = {}
+        self._running = 0  # batches handed to the engine thread
+        self._dispatch_scheduled = False
         self._tasks: "set[asyncio.Task[None]]" = set()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-engine"
@@ -101,43 +100,35 @@ class MicroBatcher:
             request.trials,
         )
         if key is None:
-            # Unhashable spec: no coalescing, straight to the engine
-            # thread as a batch of one.
-            return await loop.run_in_executor(
-                self._executor,
-                partial(
-                    self._engine.evaluate,
-                    request.protocol,
-                    request.topology,
-                    request.run,
-                    method=request.method,
-                    trials=request.trials,
-                ),
-            )
+            key = (object(),)  # unhashable spec: a batch of its own
         batch = self._pending.get(key)
         if batch is None:
-            batch = _PendingBatch()
-            self._pending[key] = batch
-            if self._max_wait_s > 0:
-                batch.timer = loop.call_later(
-                    self._max_wait_s, self._flush, key
-                )
+            batch = self._pending[key] = _PendingBatch()
         future: "asyncio.Future[EventProbabilities]" = loop.create_future()
         batch.requests.append(request)
         batch.futures.append(future)
         batch.traces.append(trace)
         batch.submitted.append(monotonic())
-        if len(batch.requests) >= self._max_batch or self._max_wait_s == 0:
+        if len(batch.requests) >= self._max_batch:
             self._flush(key)
+        elif not self._running and not self._dispatch_scheduled:
+            # The engine is idle: dispatch on the next loop pass, so
+            # requests that become ready in this pass share the batch.
+            self._dispatch_scheduled = True
+            loop.call_soon(self._dispatch)
         return await future
+
+    def _dispatch(self) -> None:
+        """Flush every forming batch, unless one is still computing."""
+        self._dispatch_scheduled = False
+        if not self._running:
+            for key in list(self._pending):
+                self._flush(key)
 
     def _flush(self, key: tuple) -> None:
         """Detach the forming batch for ``key`` and start evaluating it."""
-        batch = self._pending.pop(key, None)
-        if batch is None:
-            return  # already flushed (size trigger beat the timer)
-        if batch.timer is not None:
-            batch.timer.cancel()
+        batch = self._pending.pop(key)
+        self._running += 1
         task = asyncio.get_running_loop().create_task(self._run_batch(batch))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -172,6 +163,10 @@ class MicroBatcher:
             results = await loop.run_in_executor(self._executor, call)
         except Exception as caught:  # surface to every coalesced waiter
             error = caught
+        finally:
+            self._running -= 1
+        if not self._running:
+            self._dispatch()  # before this batch's waiters wake
         if batch_id is not None:
             self._record_batch(batch, batch_id, flushed, size, error)
         if error is not None:
@@ -210,8 +205,8 @@ class MicroBatcher:
         """One batch span fanning in N member request spans.
 
         ``member_queue_wait_s`` aligns with ``member_request_ids``:
-        each entry is the time that member spent parked in the
-        coalescing window — the queue-wait half of the queue-wait vs.
+        each entry is the time that member spent waiting for the
+        engine thread — the queue-wait half of the queue-wait vs.
         compute-time split (compute is the joined engine span).
         """
         assert self._audit is not None
@@ -232,10 +227,6 @@ class MicroBatcher:
         self._audit.record(
             BATCH_STAGE, None, monotonic() - flushed, **attributes
         )
-
-    @property
-    def pending_requests(self) -> int:
-        return sum(len(batch.requests) for batch in self._pending.values())
 
     async def drain(self) -> None:
         """Flush everything pending and wait for in-flight batches."""

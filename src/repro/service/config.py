@@ -1,10 +1,10 @@
 """Service configuration: one frozen dataclass of serving knobs.
 
-Defaults are tuned for a laptop-scale deployment: a couple of
-milliseconds of batch-collection latency buys order-of-magnitude
-coalescing under concurrent load, and a bounded admission queue keeps
-tail latency flat by shedding load (429) instead of queueing without
-bound.
+Defaults are tuned for a laptop-scale deployment: the micro-batcher
+coalesces whatever arrives while the engine thread is busy, so it
+adds no latency to an idle service, and a bounded admission queue
+keeps tail latency flat by shedding load (429) instead of queueing
+without bound.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ class ServiceConfig:
     the (queue_limit+1)-th concurrent evaluation is rejected with
     ``429`` and a ``Retry-After`` hint rather than queued forever.
 
-    ``max_batch`` / ``max_wait_ms`` shape the micro-batcher: a request
-    waits at most ``max_wait_ms`` for companions that share its batch
-    key, and a group is flushed early once ``max_batch`` requests have
-    coalesced.
+    ``max_batch`` caps a micro-batch: requests that share a batch key
+    coalesce while the engine thread is busy (DESIGN.md §10).
 
     ``shards`` scales the serving tier horizontally: ``1`` (the
     default) is the classic single-process server; ``> 1`` runs that
@@ -83,7 +81,6 @@ class ServiceConfig:
     backend: str = "auto"
     seed: int = 0
     max_batch: int = 32
-    max_wait_ms: float = 2.0
     queue_limit: int = 64
     workers: int = 0
     deadline_ms: float = 30_000.0
@@ -112,8 +109,6 @@ class ServiceConfig:
             raise ValueError(f"port {self.port} out of range")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if self.workers < 0:
@@ -141,10 +136,6 @@ class ServiceConfig:
                 f"unknown log_level {self.log_level!r}; expected one of "
                 f"{LOG_LEVELS}"
             )
-
-    @property
-    def max_wait_s(self) -> float:
-        return self.max_wait_ms / 1000.0
 
     @property
     def deadline_s(self) -> float:

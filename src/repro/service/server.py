@@ -534,7 +534,6 @@ class EvaluationServer(AsyncJsonServer):
             self.engine,
             self.metrics,
             max_batch=config.max_batch,
-            max_wait_s=config.max_wait_s,
             audit=self.audit,
         )
         self.pool = WorkerPool(config.workers, self.metrics)
@@ -574,13 +573,12 @@ class EvaluationServer(AsyncJsonServer):
     def _log_started(self) -> None:
         logger.info(
             "serving on http://%s:%d (backend=%s, workers=%d, "
-            "max_batch=%d, max_wait=%.1fms, queue_limit=%d, shard=%s)",
+            "max_batch=%d, queue_limit=%d, shard=%s)",
             self.config.host,
             self.port,
             self.config.backend,
             self.config.workers,
             self.config.max_batch,
-            self.config.max_wait_ms,
             self.config.queue_limit,
             self.shard_index if self.shard_index is not None else "-",
         )
@@ -719,8 +717,8 @@ class EvaluationServer(AsyncJsonServer):
     # -- endpoint handlers ---------------------------------------------
 
     async def _handle_evaluate(self, request: HttpRequest) -> Route:
-        # parse_run resolves spec files named by the payload, so
-        # parsing can touch disk — run it off-loop (RC006).
+        # Off-loop: a large concrete request (62 processes, 64 rounds)
+        # is slow to build, and RC006 sees `cli.parse_run`'s `open()`.
         spec = await asyncio.get_running_loop().run_in_executor(
             None, parse_evaluate_payload, request.json()
         )

@@ -16,6 +16,7 @@ those theorems relate the measures to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, Union
 
 from ..core.measures import level_profile, modified_level_profile
@@ -56,6 +57,13 @@ MAX_CONCRETE_ROUNDS = 64
 #: starts: this bound keeps one request under about 0.1 s of engine
 #: time (DESIGN.md §10).  ``repro scale-sweep`` has no such bound.
 MAX_MEANFIELD_ROUNDS = 4_096
+
+#: The ``trials`` bound: no deadline stops a Monte Carlo worker.  It
+#: does not cover large concrete shapes (DESIGN.md §10).
+MAX_TRIALS = 20_000
+
+#: How many parsed topologies :func:`_topology` keeps.
+TOPOLOGY_CACHE_SIZE = 32
 
 
 class RequestError(ValueError):
@@ -209,6 +217,14 @@ def _parse_scaled_payload(
     )
 
 
+@lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
+def _topology(spec: str) -> Topology:
+    """One shared topology per spec: memo-cache keys hold it."""
+    from ..cli import parse_topology
+
+    return parse_topology(spec)
+
+
 def _field(payload: Dict[str, Any], name: str, kind: type, default: Any) -> Any:
     value = payload.get(name, default)
     if kind is int and isinstance(value, bool):
@@ -229,8 +245,8 @@ def parse_evaluate_payload(
     Raises :class:`RequestError` with a client-actionable message for
     anything malformed: unknown fields, bad types, specs the CLI
     mini-language rejects, a ``file:PATH`` run (the server opens no
-    file a client names), or a concrete request above
-    :data:`MAX_CONCRETE_PROCESSES` processes or
+    file a client names), ``trials`` above :data:`MAX_TRIALS`, or a
+    concrete request above :data:`MAX_CONCRETE_PROCESSES` processes or
     :data:`MAX_CONCRETE_ROUNDS` rounds.  A ``backend: "meanfield"`` field selects
     the scaled counter-abstraction path, bounded at
     :data:`MAX_MEANFIELD_ROUNDS` rounds, and yields a
@@ -263,6 +279,8 @@ def parse_evaluate_payload(
         raise RequestError(f"rounds must be >= 1, got {rounds}")
     if trials < 1:
         raise RequestError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise RequestError(f"trials must be <= {MAX_TRIALS}, got {trials}")
     if method not in METHODS:
         raise RequestError(
             f"unknown method {method!r}; expected one of {METHODS}"
@@ -289,7 +307,7 @@ def parse_evaluate_payload(
     # The CLI's parsers are the single source of truth for the
     # mini-language; SpecError subclasses ValueError, so both spec and
     # structural failures surface as RequestError to the HTTP layer.
-    from ..cli import parse_protocol, parse_run, parse_topology, topology_size
+    from ..cli import parse_protocol, parse_run, topology_size
 
     try:
         num_processes = topology_size(topology_spec)
@@ -303,7 +321,7 @@ def parse_evaluate_payload(
             "at any size)"
         )
     try:
-        topology = parse_topology(topology_spec)
+        topology = _topology(topology_spec)
         protocol = parse_protocol(protocol_spec, rounds)
         run = parse_run(run_spec, topology, rounds)
     except ValueError as error:

@@ -14,6 +14,7 @@ from repro.service.specs import (
     MAX_CONCRETE_PROCESSES,
     MAX_CONCRETE_ROUNDS,
     MAX_MEANFIELD_ROUNDS,
+    MAX_TRIALS,
     RequestError,
     ScaledEvaluateRequest,
     evaluate_response,
@@ -76,11 +77,18 @@ def test_payload_round_trips_through_parse():
         ({"method": "psychic"}, "unknown method"),
         ({"protocol": "nope"}, "unknown protocol"),
         ({"run": "cut:99", "rounds": 4}, "cut_round"),
+        ({"trials": MAX_TRIALS + 1}, "trials must be <= 20000"),
     ],
 )
 def test_malformed_payloads_raise_request_error(payload, fragment):
     with pytest.raises(RequestError, match=fragment):
         parse_evaluate_payload(payload)
+
+
+def test_requests_share_one_parsed_topology():
+    first = parse_evaluate_payload({"topology": "grid:3x3", "run": "cut:2"})
+    second = parse_evaluate_payload({"topology": "grid:3x3", "run": "tree"})
+    assert first.topology is second.topology
 
 
 def test_resolves_exact_by_method_and_protocol():
@@ -205,3 +213,38 @@ def test_file_runs_and_long_meanfield_requests_are_400s_over_the_wire():
                 urllib.request.urlopen(request, timeout=30)
             assert excinfo.value.code == 400
             assert fragment in json.load(excinfo.value)["error"]
+
+
+MANY_TRIALS = {"protocol": "S:0.25", "method": "monte-carlo", "trials": 10**9}
+
+
+def test_trials_bound_is_inclusive_and_checked_before_building(monkeypatch):
+    assert MAX_TRIALS == 20_000
+    bounded = parse_evaluate_payload(dict(MANY_TRIALS, trials=MAX_TRIALS))
+    assert bounded.trials == MAX_TRIALS
+
+    def forbidden(*args):
+        raise AssertionError("parsed a spec of a request with too many trials")
+
+    monkeypatch.setattr(repro.cli, "parse_protocol", forbidden)
+    monkeypatch.setattr(repro.cli, "parse_run", forbidden)
+    monkeypatch.setattr("repro.service.specs._topology", forbidden)
+    for trials in (MAX_TRIALS + 1, 10**9):
+        with pytest.raises(RequestError, match=f"trials must be <= {MAX_TRIALS}"):
+            parse_evaluate_payload(dict(MANY_TRIALS, trials=trials))
+
+
+def test_too_many_trials_is_a_400_over_the_wire():
+    # One trial over the bound: were it accepted, it would still finish.
+    payload = dict(MANY_TRIALS, trials=MAX_TRIALS + 1)
+    with BackgroundServer(ServiceConfig(port=0)) as server:
+        url = f"http://{server.host}:{server.server.port}/v1/evaluate"
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        assert f"trials must be <= {MAX_TRIALS}" in json.load(excinfo.value)["error"]
