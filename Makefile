@@ -32,7 +32,7 @@ serve:
 	python -m repro serve
 
 bench-serve:
-	python -m repro bench-serve --shards 1,2,4 --groups 8
+	python -m repro bench-serve --groups 8
 	python scripts/validate_obs_artifacts.py \
 	    --bench-serve benchmarks/results/BENCH_serve.json
 

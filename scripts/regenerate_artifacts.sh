@@ -20,9 +20,8 @@ echo "== full-scale experiment reports =="
 mkdir -p results
 python -m repro experiments --all --scale full | tee results/full_reports.txt
 
-echo "== serving-tier load benchmark (shard scaling sweep) =="
-python -m repro bench-serve --requests 400 --concurrency 16 \
-  --shards 1,2,4 --groups 8 \
+echo "== serving-tier load benchmark =="
+python -m repro bench-serve --requests 400 --concurrency 16 --groups 8 \
   --output benchmarks/results/BENCH_serve.json
 python scripts/validate_obs_artifacts.py \
   --bench-serve benchmarks/results/BENCH_serve.json

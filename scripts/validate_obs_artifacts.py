@@ -10,15 +10,15 @@ Checks the ``--trace`` JSONL export (meta line, span records,
 parent/child consistency), the ``--metrics`` JSON export
 (schema_version, per-metric shape, histogram bucket invariants) as
 documented in DESIGN.md §8, the ``--bench-serve`` artifact
-(schema_version 4: provenance stamps, CPU count, the scaling curve
-with per-entry SLO blocks and served-only latency percentiles,
-shed-rate arithmetic, per-shard count consistency, embedded metrics
-snapshot, and — when present — the ``tracing`` overhead block) from
-DESIGN.md §10-§12, the ``--bench-e17`` artifact (the m-scaling curve
-at 10^3..10^6 processes with the Theorem 6.8 floor and per-point wall
-budget, plus the mean-field envelope coverage block) from DESIGN.md
-§15, and ``--audit`` request audit logs (per-file meta
-line, span record shape, known stages) from DESIGN.md §12.  Exits
+(schema_version 5: provenance stamps, CPU count, the ``result`` SLO
+block with served-only latency percentiles and shed-rate arithmetic,
+the embedded metrics snapshot, and — when present — the ``tracing``
+overhead block) from DESIGN.md §10 and §12, the ``--bench-e17``
+artifact (the m-scaling curve at 10^3..10^6 processes with the
+Theorem 6.8 floor and per-point wall budget, plus the mean-field
+envelope coverage block) from DESIGN.md §15, and ``--audit`` request
+audit logs (per-file meta line, span record shape, known stages) from
+DESIGN.md §12.  Exits
 non-zero with a message per violation — CI runs this against the
 artifacts it uploads so schema drift fails the build instead of
 silently shipping.
@@ -33,7 +33,7 @@ import sys
 
 TRACE_SCHEMA_VERSION = 1
 METRICS_SCHEMA_VERSION = 1
-BENCH_SERVE_SCHEMA_VERSION = 4
+BENCH_SERVE_SCHEMA_VERSION = 5
 BENCH_E17_SCHEMA_VERSION = 3
 AUDIT_SCHEMA_VERSION = 1
 
@@ -44,8 +44,6 @@ BENCH_E17_WALL_BUDGET_SECONDS = 60.0
 
 AUDIT_STAGES = {
     "admission",
-    "route",
-    "proxy",
     "batch",
     "engine",
     "worker",
@@ -185,15 +183,12 @@ def _validate_latency_block(
             _fail(errors, f"{path}: {label}: percentiles are not monotone")
 
 
-def _validate_scaling_entry(path: str, entry, position: int, errors: list):
-    """One point of the scaling curve; returns (shards, requests_total)."""
-    label = f"scaling[{position}]"
-    if not isinstance(entry, dict):
-        _fail(errors, f"{path}: {label} must be an object")
-        return None, 0
-    shards = entry.get("shards")
-    if not isinstance(shards, int) or shards < 1:
-        _fail(errors, f"{path}: {label}: shards must be a positive integer")
+def _validate_result(path: str, result, errors: list) -> int:
+    """The ``result`` SLO block; returns its requests_total."""
+    label = "result"
+    if not isinstance(result, dict):
+        _fail(errors, f"{path}: missing '{label}' object")
+        return 0
     counts = {}
     for field in (
         "requests_total",
@@ -202,7 +197,7 @@ def _validate_scaling_entry(path: str, entry, position: int, errors: list):
         "requests_rejected_with_retry_after",
         "requests_failed",
     ):
-        value = entry.get(field)
+        value = result.get(field)
         if not isinstance(value, int) or value < 0:
             _fail(
                 errors,
@@ -225,9 +220,9 @@ def _validate_scaling_entry(path: str, entry, position: int, errors: list):
             f"{path}: {label}: more Retry-After rejections than rejections",
         )
     for field in ("duration_seconds", "throughput_rps", "shed_rate"):
-        if not isinstance(entry.get(field), (int, float)):
+        if not isinstance(result.get(field), (int, float)):
             _fail(errors, f"{path}: {label}: missing numeric {field}")
-    shed = entry.get("shed_rate")
+    shed = result.get("shed_rate")
     if isinstance(shed, (int, float)) and counts["requests_total"]:
         expected = counts["requests_rejected"] / counts["requests_total"]
         if abs(shed - expected) > 1e-9:
@@ -240,41 +235,13 @@ def _validate_scaling_entry(path: str, entry, position: int, errors: list):
     _validate_latency_block(
         path,
         label,
-        entry.get("latency_seconds"),
+        result.get("latency_seconds"),
         required=counts["requests_ok"] > 0,
         errors=errors,
     )
-    per_shard = entry.get("per_shard")
-    if not isinstance(per_shard, dict):
-        _fail(errors, f"{path}: {label}: missing 'per_shard' mapping")
-    else:
-        attributed = 0
-        for shard_id, block in sorted(per_shard.items()):
-            shard_label = f"{label}.per_shard[{shard_id}]"
-            if not isinstance(block, dict):
-                _fail(errors, f"{path}: {shard_label} must be an object")
-                continue
-            for field in ("requests", "ok", "rejected", "failed"):
-                if not isinstance(block.get(field), int):
-                    _fail(
-                        errors,
-                        f"{path}: {shard_label}: missing integer {field}",
-                    )
-            attributed += block.get("requests", 0) or 0
-            _validate_latency_block(
-                path,
-                shard_label,
-                block.get("latency_seconds"),
-                required=bool(block.get("ok")),
-                errors=errors,
-            )
-        if attributed != counts["requests_total"]:
-            _fail(
-                errors,
-                f"{path}: {label}: per-shard requests sum to {attributed}, "
-                f"requests_total says {counts['requests_total']}",
-            )
-    return shards, counts["requests_total"]
+    if not isinstance(result.get("batch_size_max"), (int, float)):
+        _fail(errors, f"{path}: {label}: missing numeric batch_size_max")
+    return counts["requests_total"]
 
 
 def validate_bench_serve(path: str, errors: list) -> int:
@@ -301,56 +268,35 @@ def validate_bench_serve(path: str, errors: list) -> int:
     if not isinstance(cpus, int) or cpus < 1:
         _fail(
             errors,
-            f"{path}: cpu_count must be a positive integer (scaling "
-            "claims are meaningless without the hardware they ran on)",
+            f"{path}: cpu_count must be a positive integer (throughput "
+            "means little without the hardware it ran on)",
         )
     if not isinstance(payload.get("workload"), dict):
         _fail(errors, f"{path}: missing 'workload' mapping")
-    scaling = payload.get("scaling")
-    total = 0
-    by_shards = {}
-    if not isinstance(scaling, list) or not scaling:
-        _fail(errors, f"{path}: missing or empty 'scaling' curve")
-        scaling = []
-    for position, entry in enumerate(scaling):
-        shards, requests = _validate_scaling_entry(
-            path, entry, position, errors
-        )
-        total += requests
-        if shards is not None:
-            by_shards[shards] = entry
-    headline = payload.get("headline")
-    if scaling and headline != scaling[-1]:
-        _fail(errors, f"{path}: headline must equal the last scaling entry")
-    speedup = payload.get("speedup_vs_single_shard")
-    if speedup is not None:
-        if not isinstance(speedup, (int, float)):
-            _fail(errors, f"{path}: non-numeric speedup_vs_single_shard")
-        elif 1 in by_shards and scaling:
-            single = by_shards[1].get("throughput_rps")
-            peak = scaling[-1].get("throughput_rps")
-            if (
-                isinstance(single, (int, float))
-                and isinstance(peak, (int, float))
-                and single > 0
-                and abs(speedup - peak / single) > 1e-6
-            ):
-                _fail(
-                    errors,
-                    f"{path}: speedup_vs_single_shard {speedup} does not "
-                    "match the recorded curve",
-                )
+    result = payload.get("result")
+    total = _validate_result(path, result, errors)
     metrics = payload.get("metrics")
     if not isinstance(metrics, dict) or not metrics:
         _fail(errors, f"{path}: missing or empty embedded 'metrics'")
     else:
         _validate_metric_entries(path, metrics, errors)
-        batch = metrics.get("service.batch.size", {})
-        if not isinstance(batch.get("max"), (int, float)):
+        batch_max = metrics.get("service.batch.size", {}).get("max")
+        if not isinstance(batch_max, (int, float)):
             _fail(
                 errors,
                 f"{path}: metrics missing service.batch.size (the "
                 "coalescing evidence)",
+            )
+        elif (
+            isinstance(result, dict)
+            and isinstance(result.get("batch_size_max"), (int, float))
+            and result["batch_size_max"] != batch_max
+        ):
+            _fail(
+                errors,
+                f"{path}: result.batch_size_max "
+                f"{result['batch_size_max']} != metrics "
+                f"service.batch.size max {batch_max}",
             )
     tracing = payload.get("tracing")
     if tracing is not None:
@@ -359,7 +305,7 @@ def validate_bench_serve(path: str, errors: list) -> int:
 
 
 def _validate_tracing_block(path: str, tracing, errors: list) -> None:
-    """The v4 tracing-overhead block: shape only, no ratio threshold
+    """The tracing-overhead block: shape only, no ratio threshold
     (overhead acceptance is an EXPERIMENTS.md measurement, not a CI
     gate — a loaded runner would flake it)."""
     label = "tracing"

@@ -17,7 +17,7 @@ Subcommands:
   micro-batching, bounded admission queue; see DESIGN.md section 10);
 * ``bench-serve`` — drive a server with the load generator and write
   the ``BENCH_serve.json`` latency/throughput artifact;
-* ``audit`` — stitch the per-process audit logs a traced server wrote
+* ``audit`` — stitch the audit log a traced server wrote
   (``repro serve --audit-dir DIR``) into one request's span tree.
 
 Observability flags (see DESIGN.md section 8): every evaluating
@@ -557,15 +557,12 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         deadline_ms=args.deadline_ms,
         drain_timeout_s=args.drain_timeout,
-        shards=args.shards,
-        cache_snapshot_dir=args.cache_snapshot_dir,
         debug=args.debug_endpoints,
         trace_path=args.trace,
         metrics_path=args.metrics,
         audit_dir=args.audit_dir,
         trace_sample_rate=args.trace_sample_rate,
         slow_request_ms=args.slow_request_ms,
-        log_level=args.log_level or "info",
     )
     obs = Obs(
         metrics=MetricsRegistry(),
@@ -579,17 +576,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _parse_shard_counts(text: str) -> List[int]:
-    """``"1,4"`` → ``[1, 4]`` (the bench-serve sweep specification)."""
-    try:
-        counts = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SpecError(f"--shards expects a comma list of ints, got {text!r}")
-    if not counts or any(count < 1 for count in counts):
-        raise SpecError(f"--shards entries must be >= 1, got {text!r}")
-    return counts
-
-
 def _cmd_bench_serve(args) -> int:
     from .service import LoadgenOptions, ServiceConfig
     from .service.loadgen import run_bench
@@ -597,18 +583,15 @@ def _cmd_bench_serve(args) -> int:
     options = LoadgenOptions(
         requests=args.requests,
         concurrency=args.concurrency,
-        processes=args.processes,
         rounds=args.rounds,
         protocol=args.protocol,
         spread=args.spread,
         groups=args.groups,
         seed=args.seed,
     )
-    shard_counts = _parse_shard_counts(args.shards)
     server_config = None
-    sweep: Optional[List[int]] = None
+    sample_rate: Optional[float] = None
     if args.host is None or args.port is None:
-        sweep = shard_counts
         server_config = ServiceConfig(
             port=0,
             backend=args.backend,
@@ -617,52 +600,38 @@ def _cmd_bench_serve(args) -> int:
             queue_limit=args.queue_limit,
             seed=args.seed,
         )
-    elif args.shards != "1":
-        print(
-            "--shards is ignored against an external server "
-            "(its shard count is discovered, not configured)",
-            file=sys.stderr,
-        )
-    sample_rate: Optional[float] = None
-    if sweep is not None and args.trace_sample_rate > 0:
-        sample_rate = args.trace_sample_rate
+        if args.trace_sample_rate > 0:
+            sample_rate = args.trace_sample_rate
     payload = run_bench(
         options,
         host=args.host,
         port=args.port,
         output=args.output,
         server_config=server_config,
-        shard_counts=sweep,
         trace_sample_rate=sample_rate,
     )
-    for entry in payload["scaling"]:
-        latency = entry["latency_seconds"]
-        table = Table(
-            title=f"Serving benchmark — {entry['shards']} shard(s)",
-            columns=["quantity", "value"],
-            caption=f"target: {payload['target']}",
-        )
-        table.add_row("requests (ok/shed/failed)", "{}/{}/{}".format(
-            entry["requests_ok"],
-            entry["requests_rejected"],
-            entry["requests_failed"],
-        ))
-        table.add_row("duration (s)", entry["duration_seconds"])
-        table.add_row("throughput (req/s)", entry["throughput_rps"])
-        table.add_row("shed rate", entry["shed_rate"])
-        for name in ("p50", "p95", "p99", "mean", "max"):
-            if name in latency:
-                table.add_row(f"served latency {name} (s)", latency[name])
-        if entry.get("batch_size_max") is not None:
-            table.add_row("max coalesced batch", entry["batch_size_max"])
-        print(table.render())
-        print()
-    if "speedup_vs_single_shard" in payload:
-        print(
-            f"speedup vs single shard: "
-            f"{payload['speedup_vs_single_shard']:.2f}x "
-            f"(on {payload['cpu_count']} CPU(s))"
-        )
+    result = payload["result"]
+    latency = result["latency_seconds"]
+    table = Table(
+        title="Serving benchmark",
+        columns=["quantity", "value"],
+        caption=f"target: {payload['target']}",
+    )
+    table.add_row("requests (ok/shed/failed)", "{}/{}/{}".format(
+        result["requests_ok"],
+        result["requests_rejected"],
+        result["requests_failed"],
+    ))
+    table.add_row("duration (s)", result["duration_seconds"])
+    table.add_row("throughput (req/s)", result["throughput_rps"])
+    table.add_row("shed rate", result["shed_rate"])
+    for name in ("p50", "p95", "p99", "mean", "max"):
+        if name in latency:
+            table.add_row(f"served latency {name} (s)", latency[name])
+    if result.get("batch_size_max") is not None:
+        table.add_row("max coalesced batch", result["batch_size_max"])
+    print(table.render())
+    print()
     tracing = payload.get("tracing")
     if tracing is not None:
         ratio = tracing.get("p99_overhead_ratio")
@@ -950,23 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to wait for in-flight requests on shutdown",
     )
     serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "engine shard processes behind a consistent-hash supervisor "
-            "(1 = classic single-process server; see DESIGN.md section 11)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--cache-snapshot-dir",
-        default=None,
-        help=(
-            "directory for warm-start cache snapshots: each shard exports "
-            "shard-<i>.cache on drain and re-imports it on boot"
-        ),
-    )
-    serve_parser.add_argument(
         "--debug-endpoints",
         action="store_true",
         help="enable the /v1/_sleep test hook (never in production)",
@@ -975,8 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit-dir",
         default=None,
         help=(
-            "directory for per-process request audit logs "
-            "(audit-<process>.jsonl; stitch them with `repro audit`)"
+            "directory for the request audit log "
+            "(audit-server.jsonl; stitch it with `repro audit`)"
         ),
     )
     serve_parser.add_argument(
@@ -1011,12 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--port", type=int, default=None)
     bench_serve.add_argument("--requests", type=int, default=200)
     bench_serve.add_argument("--concurrency", type=int, default=16)
-    bench_serve.add_argument(
-        "--processes",
-        type=int,
-        default=1,
-        help="load-generator processes the workload is split across",
-    )
     bench_serve.add_argument("--rounds", type=int, default=8)
     bench_serve.add_argument(
         "--protocol", default="S:0.25", help="evaluated protocol spec"
@@ -1032,15 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "rotate across this many distinct batch groups (coalescable "
-            "within each; gives a sharded server routing entropy)"
-        ),
-    )
-    bench_serve.add_argument(
-        "--shards",
-        default="1",
-        help=(
-            "comma list of shard counts to sweep for the scaling curve "
-            "(self-contained benches only), e.g. 1,2,4"
+            "within each)"
         ),
     )
     add_service_knobs(bench_serve)
@@ -1064,8 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
     audit = subparsers.add_parser(
         "audit",
         help=(
-            "stitch per-process audit logs into one request's span tree "
-            "(admission -> route -> shard -> batch -> engine -> response)"
+            "stitch the audit logs into one request's span tree "
+            "(admission -> batch -> engine -> response)"
         ),
     )
     audit.add_argument("request_id", help="the request id to reconstruct")

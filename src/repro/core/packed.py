@@ -335,16 +335,6 @@ class RunBatch:
         )
 
     @classmethod
-    def from_packed(cls, runs: Sequence[PackedRun]) -> "RunBatch":
-        if not runs:
-            raise ValueError("cannot build a RunBatch from no runs")
-        layout = runs[0].layout
-        for run in runs:
-            if run.layout != layout:
-                raise ValueError("all runs in a batch share one layout")
-        return cls.from_bits(layout, (run.bits for run in runs))
-
-    @classmethod
     def from_runs(
         cls, topology: Topology, num_rounds: Round, runs: Sequence[Run]
     ) -> "RunBatch":

@@ -7,16 +7,14 @@ Public surface:
   cache over exact results, and instrumentation counters
   (:class:`EngineStats`);
 * :mod:`repro.engine.cache` — the :class:`EngineCache` interface with
-  the in-process FIFO default (:class:`InProcessCache`) and the
-  warm-start snapshot variant serving shards use
-  (:class:`ShardLocalCache`);
+  the in-process FIFO default (:class:`InProcessCache`);
 * :func:`default_engine` — the process-wide engine that
   :func:`repro.core.probability.evaluate_many` delegates to;
 * :mod:`repro.engine.vectorized` — the numpy batch kernels, including
   the two-general fast paths that ``analysis.fast_mc`` now wraps.
 """
 
-from .cache import EngineCache, InProcessCache, ShardLocalCache
+from .cache import EngineCache, InProcessCache
 from .engine import (
     BACKENDS,
     DEFAULT_CACHE_SIZE,
@@ -36,6 +34,5 @@ __all__ = [
     "EngineStats",
     "InProcessCache",
     "MIN_VECTORIZED_BATCH",
-    "ShardLocalCache",
     "default_engine",
 ]

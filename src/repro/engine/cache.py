@@ -14,28 +14,17 @@ private dict inside one engine:
   that contract statically over :data:`CACHE_SURFACE_QUALNAMES`.
 * :class:`InProcessCache` — the bounded FIFO dict cache the engine has
   always used, now behind the interface.
-* :class:`ShardLocalCache` — an :class:`InProcessCache` that can
-  export and import **warm-start snapshots**.  A serving shard drains
-  with a hot cache; exporting it and importing it on the next boot
-  (or on a replacement shard) skips the cold-start re-evaluation of
-  every popular query.  Snapshots store the key *components*, not the
-  key tuples: cache keys embed ``hash(protocol)``, which is not stable
-  across processes (string field hashing is salted per process), so
-  the import path re-derives every key through ``Engine.cache_key`` in
-  the importing process.
 
 Thread-affinity: like the engine itself, a cache instance belongs to
 one evaluation thread at a time.  The engine serializes its own access
-(the service tier runs one engine thread per shard); the cache does
-not lock.
+(the service tier runs one engine thread); the cache does not lock.
 """
 
 from __future__ import annotations
 
-import pickle
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.probability import EventProbabilities
 
@@ -46,15 +35,7 @@ from ..core.probability import EventProbabilities
 CACHE_SURFACE_QUALNAMES: Tuple[str, ...] = (
     "repro.engine.cache.InProcessCache.get",
     "repro.engine.cache.InProcessCache.put",
-    "repro.engine.cache.ShardLocalCache.export_snapshot",
-    "repro.engine.cache.ShardLocalCache.import_snapshot",
 )
-
-#: Snapshot wire-format version; bump when the pickled shape changes.
-#: v2: cache keys carry runs in packed form — ``(..., num_rounds,
-#: bits, ...)`` instead of an embedded ``Run`` — so v1 snapshots (one
-#: component fewer, Run-keyed) are not importable and are skipped.
-SNAPSHOT_VERSION = 2
 
 
 class EngineCache(ABC):
@@ -109,52 +90,3 @@ class InProcessCache(EngineCache):
 
     def __len__(self) -> int:
         return len(self._data)
-
-
-class ShardLocalCache(InProcessCache):
-    """An in-process cache with warm-start snapshot export/import.
-
-    The snapshot is a pickled list of ``(components, result)`` pairs
-    where ``components`` is everything after the leading
-    ``hash(protocol)`` of an ``Engine.cache_key`` tuple — since the
-    packed-run refactor that is ``(protocol, topology, num_rounds,
-    bits, method, trials)`` with the run as two ints.  Import re-keys
-    every entry by re-hashing its protocol in the importing process,
-    so snapshots survive per-process hash salting and can warm a
-    freshly spawned shard (or the same shard across a restart).
-    """
-
-    def export_snapshot(self) -> bytes:
-        """Serialize the current entries as a warm-start snapshot.
-
-        Keys are stored as their components (``key[1:]`` — everything
-        after the embedded ``hash(protocol)`` prefix), which is what
-        makes the snapshot portable across processes.
-        """
-        entries: List[Tuple[tuple, EventProbabilities]] = [
-            (key[1:], result) for key, result in self._data.items()
-        ]
-        return pickle.dumps((SNAPSHOT_VERSION, entries))
-
-    def import_snapshot(self, blob: bytes) -> int:
-        """Load a snapshot produced by :meth:`export_snapshot`.
-
-        Entries are re-keyed by prepending ``hash(components[0])``
-        (the protocol hash, salted per process) — shape-generically,
-        so the key layout is owned by ``Engine.cache_key`` alone.
-        Entries whose protocol no longer hashes, and snapshot versions
-        this build does not know, are skipped.  Returns the number of
-        entries imported.
-        """
-        version, entries = pickle.loads(blob)
-        if version != SNAPSHOT_VERSION:
-            return 0
-        imported = 0
-        for components, result in entries:
-            try:
-                key = (hash(components[0]),) + tuple(components)
-            except TypeError:
-                continue
-            self.put(key, result)
-            imported += 1
-        return imported

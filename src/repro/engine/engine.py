@@ -31,9 +31,7 @@ revisits runs on the reference path — become cache hits.  Packed
 input the vectorized kernel takes whole (the searches' sweeps, probe
 batches and neighborhoods) never meets the cache: each such run is
 evaluated once per call, and per-run memo traffic would cost more
-than the kernel saves.  Serving shards use the
-snapshot-capable :class:`~repro.engine.cache.ShardLocalCache` variant
-for warm starts.  Monte-Carlo results are never cached: caching them
+than the kernel saves.  Monte-Carlo results are never cached: caching them
 would silently freeze sampling noise and perturb downstream rng
 streams.
 
@@ -273,8 +271,8 @@ class Engine:
     contract: evaluations (:meth:`evaluate`, :meth:`evaluate_many`,
     the pair fast paths) and cache maintenance (:meth:`clear_cache`,
     :meth:`reset`) must all run on one thread at a time.  The service
-    tier honors this by giving each shard its own engine on a
-    dedicated single-thread executor.  The contract is enforced, not
+    tier honors this by running its engine on a dedicated
+    single-thread executor.  The contract is enforced, not
     just documented: :meth:`clear_cache` and :meth:`reset` raise
     :class:`EngineBusyError` if any evaluation is in flight (on this
     or any other thread) instead of mutating the memo cache under a
@@ -351,22 +349,19 @@ class Engine:
     ) -> Optional[tuple]:
         """The memo-cache key for one evaluation, or None if unhashable.
 
-        Public (and static: no engine required) because callers that
-        sit *in front of* the engine — the service tier's
-        micro-batcher, shard routers, warm-start snapshot import —
-        need to know whether two requests would land on the same cache
-        line without evaluating anything, sometimes before any engine
-        exists in the process.
+        Public (and static: no engine required) so that a caller can
+        tell whether two evaluations would land on the same cache line
+        without evaluating anything.
 
         The run is keyed in **packed form** — ``(num_rounds, bits)``
         under the topology's :class:`~repro.core.packed.RunLayout` —
         so evaluations arriving as :class:`Run` objects and as
-        :class:`~repro.core.packed.PackedRun` masks share cache lines
-        (and snapshot entries shrink to two ints per run).  A run that
-        does not fit the topology's layout (off-edge message, foreign
-        vertex) falls back to keying the run object itself: such runs
-        still reach the backend, which rejects or evaluates them with
-        reference semantics, and their cache behavior is unchanged.
+        :class:`~repro.core.packed.PackedRun` masks share cache lines.
+        A run that does not fit the topology's layout (off-edge
+        message, foreign vertex) falls back to keying the run object
+        itself: such runs still reach the backend, which rejects or
+        evaluates them with reference semantics, and their cache
+        behavior is unchanged.
         """
         return _keyed_rows(protocol, topology, [run], method, trials)[1][0]
 
@@ -399,10 +394,7 @@ class Engine:
         None) may be coalesced into a single :meth:`evaluate_many`
         call without changing any result — they share the protocol,
         topology, method, and trial count, so only their runs differ.
-        This is the grouping hook the service micro-batcher uses, and
-        (static, so routers need no engine) the key the sharded
-        serving tier consistent-hashes to pick the shard whose cache
-        owns the group (see :mod:`repro.service.sharding`).
+        This is the grouping hook the service micro-batcher uses.
         """
         try:
             return (hash(protocol), protocol, topology, method, trials)
@@ -489,35 +481,6 @@ class Engine:
         """Entry count; safe to read concurrently with evaluations."""
         assert self.cache is not None
         return len(self.cache)
-
-    def export_cache_snapshot(self) -> bytes:
-        """Warm-start snapshot of the cache, if it supports one.
-
-        Delegates to :meth:`ShardLocalCache.export_snapshot
-        <repro.engine.cache.ShardLocalCache.export_snapshot>`; raises
-        ``TypeError`` for cache implementations without snapshots.
-        """
-        self._check_not_busy("export_cache_snapshot()")
-        exporter = getattr(self.cache, "export_snapshot", None)
-        if exporter is None:
-            raise TypeError(
-                f"{type(self.cache).__name__} does not support warm-start "
-                "snapshots (use ShardLocalCache)"
-            )
-        blob: bytes = exporter()
-        return blob
-
-    def import_cache_snapshot(self, blob: bytes) -> int:
-        """Load a warm-start snapshot; returns entries imported."""
-        self._check_not_busy("import_cache_snapshot()")
-        importer = getattr(self.cache, "import_snapshot", None)
-        if importer is None:
-            raise TypeError(
-                f"{type(self.cache).__name__} does not support warm-start "
-                "snapshots (use ShardLocalCache)"
-            )
-        imported: int = importer(blob)
-        return imported
 
     # -- routing and bookkeeping --------------------------------------
 

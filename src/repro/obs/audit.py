@@ -1,19 +1,18 @@
 """Per-request audit trails: trace contexts, JSONL logs, stitching.
 
-The serving tier (DESIGN.md §11) answers ``/v1/evaluate`` across four
-process hops — supervisor, shard, micro-batcher, worker pool — and
-the paper's tradeoff results are statements about *individual runs*,
-which makes the individual request the natural observability unit.
-This module supplies the three pieces that reconstruct what any one
-request did:
+The serving tier (DESIGN.md §10) answers ``/v1/evaluate`` in stages —
+admission, the micro-batcher and engine thread or the worker pool,
+the response — and the paper's tradeoff results are statements about
+*individual runs*, which makes the individual request the natural
+observability unit.  This module supplies the three pieces that
+reconstruct what any one request did:
 
 * :class:`TraceContext` — the request identity assigned at admission
   (honoring a client-supplied ``X-Repro-Request-Id``) plus the
-  **deterministic** sampling decision: every process hashes the same
-  request id to the same keep/drop verdict, so a sampled request is
-  sampled on every hop with no coordination beyond the id itself.
-  Client-supplied ids are always sampled — an explicit id is a
-  debugging signal.
+  **deterministic** sampling decision: a hash of the request id, so
+  the same id always gets the same keep/drop verdict.  Client-supplied
+  ids are always sampled — an explicit id is a debugging signal — and
+  no request header overrides the verdict.
 * :class:`AuditLogger` — a per-process JSONL span log with size-based
   rotation (one ``.1`` backup) and an in-memory ring buffer backing
   ``GET /v1/debug/requests``.  ``record()`` only appends to the ring
@@ -21,12 +20,11 @@ request did:
   rotation — so the event loop, the engine thread, and worker
   callbacks may all record without ever blocking on disk I/O.
 * :func:`stitch_request` / :func:`render_request_tree` — merge the
-  per-process logs (any order — records carry wall-clock start times
+  audit records (any order — records carry wall-clock start times
   from :func:`repro.obs.runtime.utc_now_timestamp`) into one request
-  tree: admission → route → proxy → shard admission → batch/worker →
-  engine → response, with the queue-wait vs compute-time split and
-  cache hit/miss provenance attached.  ``repro audit <request_id>``
-  is a thin CLI over these.
+  tree: admission → batch/worker → engine → response, with the
+  queue-wait vs compute-time split and cache hit/miss provenance
+  attached.  ``repro audit <request_id>`` is a thin CLI over these.
 
 Audit JSONL schema (``schema_version`` 1), one object per line:
 
@@ -62,21 +60,13 @@ AUDIT_SCHEMA_VERSION = 1
 #: Wire header carrying the request id, both directions.
 REQUEST_ID_HEADER = "X-Repro-Request-Id"
 
-#: Internal hop-to-hop header relaying the sampling decision, so a
-#: shard does not re-classify a supervisor-generated id as
-#: client-supplied (which would force-sample everything proxied).
-SAMPLED_HEADER = "X-Repro-Trace-Sampled"
-
 #: Client-supplied request ids must match this (anything else is
 #: replaced with a generated id rather than echoed back verbatim).
 _REQUEST_ID_PATTERN = re.compile(r"^[A-Za-z0-9._:-]{1,64}$")
 
 #: Span stages a complete evaluation trace must contain (see
-#: :func:`missing_stages`).  ``route``/``proxy`` join in when a
-#: supervisor participated; ``engine`` when a batch executed.
+#: :func:`missing_stages`); ``engine`` only when a batch executed.
 ADMISSION_STAGE = "admission"
-ROUTE_STAGE = "route"
-PROXY_STAGE = "proxy"
 BATCH_STAGE = "batch"
 ENGINE_STAGE = "engine"
 WORKER_STAGE = "worker"
@@ -86,12 +76,10 @@ RESPONSE_STAGE = "response"
 #: finite resolution; stage rank breaks the ties deterministically).
 _STAGE_RANK = {
     ADMISSION_STAGE: 0,
-    ROUTE_STAGE: 1,
-    PROXY_STAGE: 2,
-    BATCH_STAGE: 3,
-    ENGINE_STAGE: 4,
-    WORKER_STAGE: 5,
-    RESPONSE_STAGE: 6,
+    BATCH_STAGE: 1,
+    ENGINE_STAGE: 2,
+    WORKER_STAGE: 3,
+    RESPONSE_STAGE: 4,
 }
 
 
@@ -104,9 +92,9 @@ def deterministic_sample(request_id: str, rate: float) -> bool:
     """The process-independent sampling verdict for ``request_id``.
 
     blake2b maps the id to a uniform point in ``[0, 1)``; the request
-    is sampled when that point falls below ``rate``.  Every process
-    (supervisor, shards, the ``repro audit`` reader) computes the same
-    verdict from the id alone — no sampling state to propagate.
+    is sampled when that point falls below ``rate``.  Any process
+    computes the same verdict from the id alone — no sampling state to
+    keep.
     """
     if rate >= 1.0:
         return True
@@ -134,33 +122,22 @@ class TraceContext:
         """Admit one request: honor a valid client id, else mint one.
 
         ``headers`` is the parsed (lower-cased) request header mapping.
-        A relayed :data:`SAMPLED_HEADER` pins the verdict (supervisor →
-        shard hop); otherwise client-supplied ids are always sampled
-        and generated ids roll :func:`deterministic_sample`.
+        Client-supplied ids are always sampled and generated ids roll
+        :func:`deterministic_sample`; no other header is read, so a
+        client can neither force auditing nor hide its own request.
         """
         supplied = headers.get(REQUEST_ID_HEADER.lower(), "").strip()
         client_supplied = bool(_REQUEST_ID_PATTERN.match(supplied))
         request_id = supplied if client_supplied else new_request_id()
-        relayed = headers.get(SAMPLED_HEADER.lower())
-        if relayed is not None:
-            sampled = relayed.strip() == "1"
-        elif client_supplied:
-            sampled = True
-        else:
-            sampled = deterministic_sample(request_id, sample_rate)
+        sampled = client_supplied or deterministic_sample(
+            request_id, sample_rate
+        )
         return cls(
             request_id=request_id,
             trace_id=request_id,
             sampled=sampled,
             client_supplied=client_supplied,
         )
-
-    def propagation_headers(self) -> Dict[str, str]:
-        """Headers the next hop needs to continue this trace."""
-        return {
-            REQUEST_ID_HEADER: self.request_id,
-            SAMPLED_HEADER: "1" if self.sampled else "0",
-        }
 
 
 class AuditLogger:
@@ -178,8 +155,8 @@ class AuditLogger:
     thread, which owns the file handle, the size accounting, and
     rotation.  That keeps ``record`` safe to call from the event loop
     (rule RC006) — the old design appended and rotated inline, which
-    stalled the supervisor loop for the duration of an ``os.replace``
-    on every rotation.  :meth:`flush` blocks until everything enqueued
+    stalled the event loop for the duration of an ``os.replace`` on
+    every rotation.  :meth:`flush` blocks until everything enqueued
     so far is on disk; :meth:`close` flushes, stops the writer, and is
     idempotent (records issued after close still reach the ring).
     """
@@ -206,8 +183,8 @@ class AuditLogger:
         self._queue: Optional["queue.Queue[Optional[str]]"] = None
         self._writer: Optional[threading.Thread] = None
         if self.path is not None:
-            # Construction is a startup-path act (make_server, shard
-            # boot), so the initial mkdir + meta line stay synchronous:
+            # Construction is a startup-path act (server boot), so
+            # the initial mkdir + meta line stay synchronous:
             # a misconfigured --audit-dir fails loudly at startup, not
             # silently in a background thread mid-flight.
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -411,22 +388,16 @@ def _sort_key(record: Mapping[str, Any]) -> Tuple[float, int, str, str]:
 
 @dataclass
 class RequestTree:
-    """One request's stitched cross-process span tree."""
+    """One request's stitched span tree."""
 
     request_id: str
     spans: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def processes(self) -> List[str]:
-        """Participating processes, supervisor first, in first-seen order."""
-        seen: List[str] = []
-        for span in self.spans:
-            process = str(span.get("process", ""))
-            if process not in seen:
-                seen.append(process)
-        return sorted(
-            seen,
-            key=lambda name: (0 if name == "supervisor" else 1, name),
+        """Participating processes, in first-seen order."""
+        return list(
+            dict.fromkeys(str(span.get("process", "")) for span in self.spans)
         )
 
     def stages(self, process: Optional[str] = None) -> List[str]:
@@ -506,17 +477,13 @@ def missing_stages(tree: RequestTree) -> List[str]:
     """Stages a complete evaluation trace still lacks (empty = complete).
 
     Every trace needs admission, an execution span (batch or worker),
-    and a response on the serving process; when a supervisor
-    participated, its admission → route → proxy → response chain must
-    be present too; a batch execution additionally needs its engine
+    and a response; a batch execution additionally needs its engine
     span.
     """
     missing: List[str] = []
     stages = set(tree.stages())
     if ADMISSION_STAGE not in stages:
         missing.append(ADMISSION_STAGE)
-    if ROUTE_STAGE in stages and PROXY_STAGE not in stages:
-        missing.append(PROXY_STAGE)
     if BATCH_STAGE not in stages and WORKER_STAGE not in stages:
         missing.append(f"{BATCH_STAGE}|{WORKER_STAGE}")
     if BATCH_STAGE in stages and ENGINE_STAGE not in stages:

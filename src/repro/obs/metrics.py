@@ -167,23 +167,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: Dict[str, Dict[str, object]]
-    ) -> "MetricsRegistry":
-        """Reconstruct a registry from a :meth:`snapshot` payload.
-
-        The snapshot format is the process-portable wire form of a
-        registry: worker processes (the service's process-pool tier)
-        snapshot their local registry, ship it back as plain JSON, and
-        the server folds it into its own registry — ``merge`` accepts
-        either a live registry or a snapshot, and this constructor
-        covers callers that want a standalone registry back.
-        """
-        registry = cls()
-        registry.merge(snapshot)
-        return registry
-
     def _get(self, name: str, kind: type, factory) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:

@@ -58,8 +58,8 @@ def utc_now_isoformat() -> str:
 def utc_now_timestamp() -> float:
     """The current wall-clock instant as epoch seconds (UTC).
 
-    The audit trail's cross-process ordering key: span records written
-    by different processes (supervisor, shards) are stitched into one
+    The audit trail's ordering key: span records written by the event
+    loop, the engine thread and the worker tier are stitched into one
     request tree by wall-clock start time, which a per-process
     :func:`monotonic` epoch cannot provide.  Like
     :func:`utc_now_isoformat` this is a sanctioned escape hatch from
@@ -93,11 +93,10 @@ SYNCHRONIZED_QUALNAMES = (
     "repro.obs.tracing.Tracer",
     # The engine's busy-guard: cache/RNG mutation is confined to the
     # single engine-executor thread, and cross-context admin calls
-    # (snapshot import/export, reset) raise EngineBusyError instead of
-    # racing (see Engine._check_not_busy).
+    # (clear_cache, reset) raise EngineBusyError instead of racing
+    # (see Engine._check_not_busy).
     "repro.engine.engine.Engine",
     "repro.engine.cache.InProcessCache",
-    "repro.engine.cache.ShardLocalCache",
 )
 
 
@@ -133,18 +132,13 @@ LOG_FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
-def setup_logging(
-    level: str = "info", stream=None, prefix: str = ""
-) -> logging.Logger:
+def setup_logging(level: str = "info", stream=None) -> logging.Logger:
     """Configure the ``repro`` logger hierarchy at ``level``.
 
-    Idempotent: repeated calls adjust the level (and line prefix) of
-    the single handler this function owns instead of stacking
-    handlers.  Logs go to ``stream`` (default ``sys.stderr``) so they
-    never pollute the CLI's stdout tables.  ``prefix`` is injected in
-    front of the logger name on every line — shard processes pass
-    ``"shard=<i> "`` so interleaved supervisor/shard output stays
-    attributable.
+    Idempotent: repeated calls adjust the level of the single handler
+    this function owns instead of stacking handlers.  Logs go to
+    ``stream`` (default ``sys.stderr``) so they never pollute the
+    CLI's stdout tables.
     """
     name = str(level).lower()
     if name not in LOG_LEVELS:
@@ -161,12 +155,7 @@ def setup_logging(
         handler = logging.StreamHandler(stream or sys.stderr)
         handler._repro_obs = True  # type: ignore[attr-defined]
         logger.addHandler(handler)
-    log_format = (
-        LOG_FORMAT
-        if not prefix
-        else f"%(asctime)s %(levelname)-7s {prefix}%(name)s: %(message)s"
-    )
-    handler.setFormatter(logging.Formatter(log_format))
+    handler.setFormatter(logging.Formatter(LOG_FORMAT))
     handler.setLevel(numeric)
     logger.propagate = False
     return logger

@@ -16,14 +16,13 @@ that each do one thing:
   deadlines and metrics-snapshot merge-back;
 * :mod:`~repro.service.server` — admission control (bounded queue,
   429 + ``Retry-After`` backpressure), routing, and graceful drain on
-  SIGTERM;
-* :mod:`~repro.service.sharding` — horizontal scale: N spawn-context
-  engine shards behind a consistent-hash supervisor that routes on
-  the batch key and merges per-shard metrics (``--shards N``).
+  SIGTERM.
 
-Surfaced on the CLI as ``repro serve`` and ``repro bench-serve``; see
-DESIGN.md §10 for the architecture and endpoint schemas, §11 for the
-sharded deployment.
+One process serves: the server, its engine and memo cache, and the
+micro-batcher share one event loop and one engine thread, and only
+the worker tier adds processes.  Surfaced on the CLI as ``repro
+serve`` and ``repro bench-serve``; see DESIGN.md §10 for the
+architecture and endpoint schemas.
 """
 
 from .batcher import MicroBatcher
@@ -37,12 +36,7 @@ from .loadgen import (
     run_bench,
     run_load,
 )
-from .server import AsyncJsonServer, EvaluationServer, make_server, serve
-from .sharding import (
-    ShardedEvaluationServer,
-    ShardRing,
-    routing_key,
-)
+from .server import EvaluationServer, serve
 from .specs import (
     EvaluateRequest,
     RequestError,
@@ -55,7 +49,6 @@ from .testing import BackgroundServer
 from .workers import DeadlineExceeded, WorkerPool
 
 __all__ = [
-    "AsyncJsonServer",
     "BENCH_SCHEMA_VERSION",
     "BackgroundServer",
     "ClientConnection",
@@ -71,15 +64,11 @@ __all__ = [
     "RequestError",
     "ScaledEvaluateRequest",
     "ServiceConfig",
-    "ShardRing",
-    "ShardedEvaluationServer",
     "WorkerPool",
     "evaluate_response",
-    "make_server",
     "parse_evaluate_payload",
     "percentile",
     "request_once",
-    "routing_key",
     "run_bench",
     "scaled_evaluate_response",
     "run_load",

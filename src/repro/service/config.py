@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..engine import BACKENDS, DEFAULT_CACHE_SIZE
-from ..obs.runtime import LOG_LEVELS
 
 DEFAULT_PORT = 8642
 
@@ -39,41 +38,25 @@ class ServiceConfig:
     ``max_batch`` caps a micro-batch: requests that share a batch key
     coalesce while the engine thread is busy (DESIGN.md §10).
 
-    ``shards`` scales the serving tier horizontally: ``1`` (the
-    default) is the classic single-process server; ``> 1`` runs that
-    many spawn-context shard processes — each a complete
-    :class:`~repro.service.server.EvaluationServer` with its own
-    engine, cache, batcher, and worker tier — behind a supervisor
-    that consistent-hash routes ``/v1/evaluate`` on the request's
-    batch key (DESIGN.md §11).  Per-shard knobs (``workers``,
-    ``queue_limit``, ``max_batch``, ...) apply to *each* shard.
-
-    ``cache_size`` bounds each engine's exact-result memo cache, and
-    ``cache_snapshot_dir`` (optional) enables warm starts: on drain
-    every shard exports its cache to ``<dir>/shard-<i>.cache`` and
-    re-imports it on the next boot, re-keyed through
-    ``Engine.cache_key`` so snapshots survive hash randomization.
+    ``cache_size`` bounds the engine's exact-result memo cache.
 
     ``debug`` enables the ``POST /v1/_sleep`` test hook (an admitted,
     deadline-checked request that just sleeps), which the backpressure
     and drain tests use to hold the admission queue open
     deterministically.  Never enable it on a real deployment.
 
-    ``audit_dir`` enables persistent request audit trails: every
-    process (supervisor, each shard, a standalone server) appends
-    span records to its own ``audit-<process>.jsonl`` under the
+    ``audit_dir`` enables a persistent request audit trail: the
+    server appends span records to ``audit-server.jsonl`` under the
     directory, rotated once it passes ``audit_max_bytes`` (one ``.1``
-    backup is kept).  ``repro audit <request_id>`` stitches those
-    files into one request tree.  With no directory, the in-memory
+    backup is kept).  ``repro audit <request_id>`` stitches the
+    records into one request tree.  With no directory, the in-memory
     ring of the last ``audit_ring`` records behind
     ``GET /v1/debug/requests`` still works.  ``trace_sample_rate``
     picks which requests are audited — the decision is a
-    deterministic hash of the request id, so every process agrees
-    without coordination, and client-supplied ``X-Repro-Request-Id``
-    values are always sampled.  Requests slower than
-    ``slow_request_ms`` are logged at WARNING with their request id.
-    ``log_level`` is the ``repro.*`` logger level, propagated into
-    spawned shard processes (each prefixes its lines ``shard=<i>``).
+    deterministic hash of the request id, and client-supplied
+    ``X-Repro-Request-Id`` values are always sampled.  Requests slower
+    than ``slow_request_ms`` are logged at WARNING with their request
+    id.
     """
 
     host: str = "127.0.0.1"
@@ -87,9 +70,7 @@ class ServiceConfig:
     drain_timeout_s: float = 10.0
     max_body_bytes: int = 1 << 20
     enumeration_limit: Optional[int] = None
-    shards: int = 1
     cache_size: int = DEFAULT_CACHE_SIZE
-    cache_snapshot_dir: Optional[str] = None
     debug: bool = False
     trace_path: Optional[str] = None
     metrics_path: Optional[str] = None
@@ -98,7 +79,6 @@ class ServiceConfig:
     audit_ring: int = DEFAULT_AUDIT_RING
     trace_sample_rate: float = 1.0
     slow_request_ms: float = 1_000.0
-    log_level: str = "info"
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -119,8 +99,6 @@ class ServiceConfig:
             raise ValueError("drain_timeout_s must be >= 0")
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")
-        if not 1 <= self.shards <= 64:
-            raise ValueError("shards must be in [1, 64]")
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0")
         if self.audit_max_bytes < 1024:
@@ -131,11 +109,6 @@ class ServiceConfig:
             raise ValueError("trace_sample_rate must be in [0, 1]")
         if self.slow_request_ms <= 0:
             raise ValueError("slow_request_ms must be > 0")
-        if self.log_level not in LOG_LEVELS:
-            raise ValueError(
-                f"unknown log_level {self.log_level!r}; expected one of "
-                f"{LOG_LEVELS}"
-            )
 
     @property
     def deadline_s(self) -> float:

@@ -201,8 +201,8 @@ class ClientConnection:
     ) -> Tuple[int, Dict[str, str], Dict[str, Any]]:
         """Issue one request; returns (status, headers, JSON payload).
 
-        ``headers`` adds extra request headers — how trace context
-        (``X-Repro-Request-Id``) crosses the supervisor → shard hop.
+        ``headers`` adds extra request headers, such as a client's own
+        ``X-Repro-Request-Id``.
         """
         body = b""
         if payload is not None:

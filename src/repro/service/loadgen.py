@@ -1,18 +1,14 @@
 """Load generator: drive a running server, record SLO evidence.
 
-``repro bench-serve`` front-ends :func:`run_bench`: open ``concurrency``
-keep-alive connections (optionally across ``processes`` spawn-context
-generator processes, so the measuring side stops being the bottleneck
-before the serving side does), push ``requests`` evaluation requests
-through them as fast as the server answers, then write a
-self-describing ``BENCH_serve.json`` artifact (``schema_version`` 4:
-UTC timestamp, git SHA, CPU count, a **scaling curve** across shard
-counts, per-entry SLO blocks — aggregate and per-shard p50/p95/p99
-over *served* requests, shed rate, and the ``service.batch.size``
-maximum that proves the micro-batcher coalesced — plus an optional
-``tracing`` block measuring the audit trail's p99 overhead, a
-tracing-off vs. tracing-on pair of runs at the headline shard
-count).
+``repro bench-serve`` front-ends :func:`run_bench`: open
+``concurrency`` keep-alive connections to one server, push
+``requests`` evaluation requests through them as fast as the server
+answers, then write a self-describing ``BENCH_serve.json`` artifact
+(``schema_version`` 5: UTC timestamp, git SHA, CPU count, one
+``result`` block — p50/p95/p99 over *served* requests, shed rate, and
+the ``service.batch.size`` maximum that proves the micro-batcher
+coalesced — plus an optional ``tracing`` block measuring the audit
+trail's p99 overhead, a tracing-off vs. tracing-on pair of runs).
 
 Latency accounting is deliberate: a ``429`` shed with ``Retry-After``
 is the server doing its job *fast*, so sheds are counted separately
@@ -21,20 +17,13 @@ is the server doing its job *fast*, so sheds are counted separately
 rejections into the served distribution would flatter p99 exactly
 when the server is overloaded.
 
-Against a sharded server the generator fetches ``GET /shards`` and
-routes each request directly to its owning shard with the same
-blake2b ring the supervisor uses (:mod:`repro.service.sharding`), so
-the supervisor hop is off the measured path and per-shard latency is
-attributable.  A single-process server answers 404 there and the
-generator falls back to the one target.
-
 The default workload is deliberately coalescable: every request
 evaluates the same Protocol S / topology / trials spec on a rotating
 run (``cut:K``), so concurrent requests share a batch key and differ
 only in the run — the exact shape the batcher exists for.
 ``--groups G`` rotates across G distinct protocols (coalescable
-within a group, spread across shards); ``--spread`` makes every
-request a distinct batch key to measure the uncoalesced path.
+within a group); ``--spread`` makes every request a distinct batch
+key to measure the uncoalesced path.
 """
 
 from __future__ import annotations
@@ -42,32 +31,23 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import multiprocessing
 import os
 import pathlib
 import subprocess
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from multiprocessing.connection import Connection
+from typing import Any, Dict, List, Optional
 
 from ..obs.audit import load_audit_dir
 from ..obs.runtime import monotonic, utc_now_isoformat
+from .config import ServiceConfig
 from .http import ClientConnection, request_once
-from .sharding import ShardRing, routing_key
 from .testing import BackgroundServer
 
-BENCH_SCHEMA_VERSION = 4
+BENCH_SCHEMA_VERSION = 5
 
 #: Percentiles reported in the artifact.
 PERCENTILES = (50.0, 95.0, 99.0)
-
-#: Seconds the parent waits for each generator process to come up.
-LOADGEN_STARTUP_TIMEOUT_S = 120.0
-
-#: Seconds the parent waits for a generator process's results.
-LOADGEN_DONE_TIMEOUT_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +56,6 @@ class LoadgenOptions:
 
     requests: int = 200
     concurrency: int = 16
-    processes: int = 1
     rounds: int = 8
     protocol: str = "S:0.25"
     topology: str = "pair"
@@ -89,8 +68,6 @@ class LoadgenOptions:
             raise ValueError("requests must be >= 1")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if self.processes < 1:
-            raise ValueError("processes must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.groups < 1:
@@ -102,9 +79,7 @@ class LoadReport:
     """Everything one load run measured.
 
     ``latencies`` holds **served (200) requests only** — sheds and
-    failures are counted but never enter the percentile math.  Shard
-    attribution is keyed by the target index the request was routed
-    to (``"0"`` for a single-target run).
+    failures are counted but never enter the percentile math.
     """
 
     requests_total: int = 0
@@ -114,10 +89,7 @@ class LoadReport:
     requests_failed: int = 0
     duration_seconds: float = 0.0
     latencies: List[float] = field(default_factory=list)
-    shard_latencies: Dict[str, List[float]] = field(default_factory=dict)
-    shard_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
     server_metrics: Dict[str, Any] = field(default_factory=dict)
-    per_shard_server_metrics: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def throughput_rps(self) -> float:
@@ -139,49 +111,19 @@ class LoadReport:
 
     # -- accumulation --------------------------------------------------
 
-    def _counts(self, shard: int) -> Dict[str, int]:
-        return self.shard_counts.setdefault(
-            str(shard), {"ok": 0, "rejected": 0, "failed": 0}
-        )
-
-    def note_served(self, shard: int, seconds: float) -> None:
+    def note_served(self, seconds: float) -> None:
         self.requests_ok += 1
         self.latencies.append(seconds)
-        self.shard_latencies.setdefault(str(shard), []).append(seconds)
-        self._counts(shard)["ok"] += 1
 
-    def note_rejected(self, shard: int, had_retry_after: bool) -> None:
+    def note_rejected(self, had_retry_after: bool) -> None:
         self.requests_rejected += 1
         if had_retry_after:
             self.requests_rejected_with_retry_after += 1
-        self._counts(shard)["rejected"] += 1
 
-    def note_failed(self, shard: int) -> None:
+    def note_failed(self) -> None:
         self.requests_failed += 1
-        self._counts(shard)["failed"] += 1
 
     def finalize(self) -> None:
-        self.requests_total = (
-            self.requests_ok + self.requests_rejected + self.requests_failed
-        )
-
-    def merge(self, other: "LoadReport") -> None:
-        """Fold another generator process's report into this one."""
-        self.requests_ok += other.requests_ok
-        self.requests_rejected += other.requests_rejected
-        self.requests_rejected_with_retry_after += (
-            other.requests_rejected_with_retry_after
-        )
-        self.requests_failed += other.requests_failed
-        self.latencies.extend(other.latencies)
-        for shard, samples in other.shard_latencies.items():
-            self.shard_latencies.setdefault(shard, []).extend(samples)
-        for shard, counts in other.shard_counts.items():
-            mine = self.shard_counts.setdefault(
-                shard, {"ok": 0, "rejected": 0, "failed": 0}
-            )
-            for key, value in counts.items():
-                mine[key] = mine.get(key, 0) + value
         self.requests_total = (
             self.requests_ok + self.requests_rejected + self.requests_failed
         )
@@ -189,41 +131,17 @@ class LoadReport:
     # -- summaries -----------------------------------------------------
 
     def latency_summary(self) -> Dict[str, float]:
-        return _summarize(self.latencies)
-
-    def shard_summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-shard SLO block: counts, shed rate, served percentiles."""
-        summary: Dict[str, Dict[str, Any]] = {}
-        for shard in sorted(self.shard_counts, key=int):
-            counts = self.shard_counts[shard]
-            total = sum(counts.values())
-            summary[shard] = {
-                "requests": total,
-                "ok": counts.get("ok", 0),
-                "rejected": counts.get("rejected", 0),
-                "failed": counts.get("failed", 0),
-                "shed_rate": (
-                    counts.get("rejected", 0) / total if total else 0.0
-                ),
-                "latency_seconds": _summarize(
-                    self.shard_latencies.get(shard, [])
-                ),
-            }
+        ordered = sorted(self.latencies)
+        if not ordered:
+            return {}
+        summary = {
+            "min": ordered[0],
+            "max": ordered[-1],
+            "mean": sum(ordered) / len(ordered),
+        }
+        for q in PERCENTILES:
+            summary[f"p{q:g}"] = percentile(ordered, q)
         return summary
-
-
-def _summarize(samples: List[float]) -> Dict[str, float]:
-    ordered = sorted(samples)
-    if not ordered:
-        return {}
-    summary = {
-        "min": ordered[0],
-        "max": ordered[-1],
-        "mean": sum(ordered) / len(ordered),
-    }
-    for q in PERCENTILES:
-        summary[f"p{q:g}"] = percentile(ordered, q)
-    return summary
 
 
 def percentile(sorted_samples: List[float], q: float) -> float:
@@ -241,8 +159,7 @@ def _request_payload(options: LoadgenOptions, index: int) -> Dict[str, Any]:
         # Rotate epsilon so every request is a distinct batch key.
         protocol = f"S:{0.05 + 0.9 * ((index % 17) / 17.0):.4f}"
     elif options.groups > 1:
-        # A few distinct batch groups: coalescable within each, enough
-        # routing entropy to occupy every shard.
+        # A few distinct batch groups, each coalescable on its own.
         group = index % options.groups
         protocol = f"S:{0.05 + 0.9 * (group / options.groups):.4f}"
     return {
@@ -254,25 +171,6 @@ def _request_payload(options: LoadgenOptions, index: int) -> Dict[str, Any]:
     }
 
 
-async def _discover_targets(
-    host: str, port: int
-) -> Optional[List[Tuple[str, int]]]:
-    """The shard routing table, or None for a single-process server."""
-    try:
-        status, _, body = await request_once(host, port, "GET", "/shards")
-    except (ConnectionError, OSError):
-        return None
-    if status != 200:
-        return None
-    entries = body.get("shards")
-    if not isinstance(entries, list) or not entries:
-        return None
-    table: List[Tuple[str, int]] = []
-    for entry in sorted(entries, key=lambda item: int(item.get("shard", 0))):
-        table.append((str(entry.get("host", host)), int(entry["port"])))
-    return table
-
-
 async def _scrape_metrics(host: str, port: int, report: LoadReport) -> None:
     """One last scrape for the server's own accounting of the run."""
     try:
@@ -281,159 +179,49 @@ async def _scrape_metrics(host: str, port: int, report: LoadReport) -> None:
         return
     if status == 200:
         report.server_metrics = dict(payload.get("metrics", {}))
-        per_shard = payload.get("per_shard")
-        if isinstance(per_shard, dict):
-            report.per_shard_server_metrics = dict(per_shard)
 
 
-async def run_load(
-    host: str,
-    port: int,
-    options: LoadgenOptions,
-    offset: int = 0,
-    count: Optional[int] = None,
-    scrape: bool = True,
-) -> LoadReport:
-    """Drive a live server; returns the measured :class:`LoadReport`.
-
-    ``offset``/``count`` select a slice of the request index space, so
-    several generator processes can split one workload without
-    changing the payload mix.  Against a sharded server each request
-    goes directly to its owning shard (see module docstring).
-    """
+async def run_load(host: str, port: int, options: LoadgenOptions) -> LoadReport:
+    """Drive a live server; returns the measured :class:`LoadReport`."""
     report = LoadReport()
-    total = options.requests if count is None else count
-    next_index = offset
-    end_index = offset + total
-
-    targets = await _discover_targets(host, port) or [(host, port)]
-    ring = ShardRing(len(targets)) if len(targets) > 1 else None
+    next_index = 0
 
     async def worker() -> None:
         nonlocal next_index
-        connections: Dict[int, ClientConnection] = {}
+        connection: Optional[ClientConnection] = None
         try:
-            while True:
-                if next_index >= end_index:
-                    return
-                index = next_index
+            while next_index < options.requests:
+                payload = _request_payload(options, next_index)
                 next_index += 1
-                payload = _request_payload(options, index)
-                shard = (
-                    ring.shard_for(routing_key(payload)) if ring else 0
-                )
-                connection = connections.get(shard)
                 if connection is None:
-                    connection = await ClientConnection.open(*targets[shard])
-                    connections[shard] = connection
+                    connection = await ClientConnection.open(host, port)
                 started = monotonic()
                 try:
                     status, headers, _ = await connection.request(
                         "POST", "/v1/evaluate", payload
                     )
                 except (ConnectionError, OSError):
-                    report.note_failed(shard)
+                    report.note_failed()
                     await connection.close()
-                    connections.pop(shard, None)
+                    connection = None
                     continue
                 elapsed = monotonic() - started
                 if status == 200:
-                    report.note_served(shard, elapsed)
+                    report.note_served(elapsed)
                 elif status == 429:
-                    report.note_rejected(shard, "retry-after" in headers)
+                    report.note_rejected("retry-after" in headers)
                 else:
-                    report.note_failed(shard)
+                    report.note_failed()
         finally:
-            for connection in connections.values():
+            if connection is not None:
                 await connection.close()
 
     started = monotonic()
     await asyncio.gather(*(worker() for _ in range(options.concurrency)))
     report.duration_seconds = monotonic() - started
     report.finalize()
-    if scrape:
-        await _scrape_metrics(host, port, report)
+    await _scrape_metrics(host, port, report)
     return report
-
-
-def _loadgen_entry(
-    host: str,
-    port: int,
-    options: LoadgenOptions,
-    offset: int,
-    count: int,
-    channel: Connection,
-) -> None:
-    """Spawn-context entry point of one generator process."""
-    channel.send(("ready", None))
-    channel.recv()  # the parent's "go" — all processes start together
-    report = asyncio.run(
-        run_load(host, port, options, offset=offset, count=count, scrape=False)
-    )
-    channel.send(("done", report))
-    channel.close()
-
-
-def execute_load(host: str, port: int, options: LoadgenOptions) -> LoadReport:
-    """Run the workload, fanning out across generator processes.
-
-    With ``processes == 1`` this is ``asyncio.run(run_load(...))``.
-    Beyond that, spawn-context processes each drive a contiguous slice
-    of the request index space; the parent releases them through a
-    ready/go barrier (so spawn+import cost never lands inside the
-    measured window), merges their reports, and takes the wall-clock
-    of the overlapped window as the run duration.
-    """
-    if options.processes == 1:
-        return asyncio.run(run_load(host, port, options))
-    context = multiprocessing.get_context("spawn")
-    channels: List[Connection] = []
-    processes: List[Any] = []
-    base, extra = divmod(options.requests, options.processes)
-    offset = 0
-    try:
-        for rank in range(options.processes):
-            count = base + (1 if rank < extra else 0)
-            if count == 0:
-                continue
-            parent_end, child_end = context.Pipe()
-            process = context.Process(
-                target=_loadgen_entry,
-                args=(host, port, options, offset, count, child_end),
-                name=f"repro-loadgen-{rank}",
-            )
-            process.start()
-            child_end.close()
-            channels.append(parent_end)
-            processes.append(process)
-            offset += count
-        for rank, channel in enumerate(channels):
-            if not channel.poll(LOADGEN_STARTUP_TIMEOUT_S):
-                raise RuntimeError(f"load generator {rank} did not start")
-            kind, _ = channel.recv()
-            if kind != "ready":
-                raise RuntimeError(f"load generator {rank} failed to start")
-        started = monotonic()
-        for channel in channels:
-            channel.send(("go", None))
-        merged = LoadReport()
-        for rank, channel in enumerate(channels):
-            if not channel.poll(LOADGEN_DONE_TIMEOUT_S):
-                raise RuntimeError(f"load generator {rank} did not finish")
-            kind, report = channel.recv()
-            if kind != "done":
-                raise RuntimeError(f"load generator {rank} failed: {report}")
-            merged.merge(report)
-        merged.duration_seconds = monotonic() - started
-    finally:
-        for channel in channels:
-            channel.close()
-        for process in processes:
-            process.join(5.0)
-            if process.is_alive():
-                process.terminate()
-    asyncio.run(_scrape_metrics(host, port, merged))
-    return merged
 
 
 def _git_sha() -> Optional[str]:
@@ -461,10 +249,9 @@ def _batch_size_max(metrics: Dict[str, Any]) -> Optional[float]:
     return None
 
 
-def scaling_entry(report: LoadReport, shards: int) -> Dict[str, Any]:
-    """One point of the scaling curve: SLO + shed + coalescing."""
+def result_block(report: LoadReport) -> Dict[str, Any]:
+    """The artifact's ``result`` block: SLO + shed + coalescing."""
     return {
-        "shards": shards,
         "duration_seconds": report.duration_seconds,
         "requests_total": report.requests_total,
         "requests_ok": report.requests_ok,
@@ -477,32 +264,25 @@ def scaling_entry(report: LoadReport, shards: int) -> Dict[str, Any]:
         "throughput_rps": report.throughput_rps,
         "served_throughput_rps": report.served_throughput_rps,
         "latency_seconds": report.latency_summary(),
-        "per_shard": report.shard_summary(),
         "batch_size_max": _batch_size_max(report.server_metrics),
     }
 
 
 def bench_payload(
-    entries: List[Dict[str, Any]],
+    result: Dict[str, Any],
     options: LoadgenOptions,
     target: str,
     server_metrics: Optional[Dict[str, Any]] = None,
     tracing: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """The ``BENCH_serve.json`` artifact body (schema v4).
+    """The ``BENCH_serve.json`` artifact body (schema v5).
 
-    ``entries`` is the scaling curve, one entry per shard count (a
-    plain single-server bench is a one-point curve).  The last entry
-    is the headline; when a one-shard entry exists too, the measured
-    speedup lands in ``speedup_vs_single_shard``.  ``cpu_count``
-    records the hardware the curve was measured on — scaling claims
-    are meaningless without it.  ``tracing`` (v4) is the audit-trail
-    overhead block from :func:`_tracing_overhead_entry`, present when
-    the bench measured it.
+    ``result`` is the :func:`result_block` of the measured run.
+    ``cpu_count`` records the hardware it was measured on.
+    ``tracing`` is the audit-trail overhead block from
+    :func:`_tracing_overhead_entry`, present when the bench measured
+    it.
     """
-    if not entries:
-        raise ValueError("at least one scaling entry is required")
-    headline = entries[-1]
     payload: Dict[str, Any] = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "generated_at_utc": utc_now_isoformat(),
@@ -513,7 +293,6 @@ def bench_payload(
         "workload": {
             "requests": options.requests,
             "concurrency": options.concurrency,
-            "processes": options.processes,
             "rounds": options.rounds,
             "protocol": options.protocol,
             "topology": options.topology,
@@ -521,20 +300,8 @@ def bench_payload(
             "groups": options.groups,
             "seed": options.seed,
         },
-        "scaling": entries,
-        "headline": headline,
+        "result": result,
     }
-    single = next(
-        (entry for entry in entries if entry.get("shards") == 1), None
-    )
-    if (
-        single is not None
-        and single is not headline
-        and single.get("throughput_rps")
-    ):
-        payload["speedup_vs_single_shard"] = (
-            headline["throughput_rps"] / single["throughput_rps"]
-        )
     if tracing is not None:
         payload["tracing"] = tracing
     if server_metrics is not None:
@@ -555,60 +322,44 @@ def run_bench(
     host: Optional[str] = None,
     port: Optional[int] = None,
     output: Optional[str] = None,
-    server_config: Optional[Any] = None,
-    shard_counts: Optional[Sequence[int]] = None,
+    server_config: Optional[ServiceConfig] = None,
     trace_sample_rate: Optional[float] = None,
 ) -> Dict[str, Any]:
     """One full bench: external server if addressed, else self-contained.
 
-    With ``host``/``port`` the load targets an already-running server
-    (whatever its shard count — the generator discovers ``/shards``
-    itself), producing a one-point curve.  Otherwise a
-    :class:`BackgroundServer` (configured by ``server_config``) is
-    stood up per entry of ``shard_counts`` (default: the config's own
-    ``shards``) on an ephemeral port, loaded, and drained — the full
-    sweep becomes the scaling curve.  ``trace_sample_rate`` adds the
-    v4 ``tracing`` overhead block (self-contained benches only: the
-    comparison needs to restart the server with tracing off, which an
-    external target does not allow).  Returns the artifact payload;
-    also writes it to ``output`` when given.
+    With ``host``/``port`` the load targets an already-running server.
+    Otherwise a :class:`BackgroundServer` (configured by
+    ``server_config``) is stood up on an ephemeral port, loaded, and
+    drained.  ``trace_sample_rate`` adds the ``tracing`` overhead
+    block (self-contained benches only: the comparison needs to
+    restart the server with tracing off, which an external target
+    does not allow).  Returns the artifact payload; also writes it to
+    ``output`` when given.
     """
-    entries: List[Dict[str, Any]] = []
     tracing: Optional[Dict[str, Any]] = None
     if host is not None and port is not None:
-        if shard_counts is not None:
-            raise ValueError(
-                "shard_counts requires a self-contained bench; an external "
-                "server's shard count cannot be changed from here"
-            )
         if trace_sample_rate is not None:
             raise ValueError(
                 "trace_sample_rate requires a self-contained bench; the "
                 "overhead comparison restarts the server with tracing off"
             )
         target = f"http://{host}:{port}"
-        report = execute_load(host, port, options)
-        entries.append(scaling_entry(report, _external_shards(report)))
-        metrics = report.server_metrics
+        report = asyncio.run(run_load(host, port, options))
     else:
-        from .config import ServiceConfig
-
         base = server_config if server_config is not None else ServiceConfig()
-        counts = list(shard_counts) if shard_counts else [base.shards]
-        target = f"in-process sweep over shards={counts}"
-        metrics = {}
-        for shards in counts:
-            config = replace(base, port=0, shards=shards)
-            with BackgroundServer(config) as background:
-                report = execute_load(background.host, background.port, options)
-            entries.append(scaling_entry(report, shards))
-            metrics = report.server_metrics
-        if trace_sample_rate is not None:
-            tracing = _tracing_overhead_entry(
-                base, counts[-1], options, trace_sample_rate
+        target = "in-process server"
+        with BackgroundServer(replace(base, port=0)) as background:
+            report = asyncio.run(
+                run_load(background.host, background.port, options)
             )
+        if trace_sample_rate is not None:
+            tracing = _tracing_overhead_entry(base, options, trace_sample_rate)
     payload = bench_payload(
-        entries, options, target, server_metrics=metrics, tracing=tracing
+        result_block(report),
+        options,
+        target,
+        server_metrics=report.server_metrics,
+        tracing=tracing,
     )
     if output:
         write_bench_artifact(output, payload)
@@ -616,12 +367,9 @@ def run_bench(
 
 
 def _tracing_overhead_entry(
-    base: Any,
-    shards: int,
-    options: LoadgenOptions,
-    sample_rate: float,
+    base: ServiceConfig, options: LoadgenOptions, sample_rate: float
 ) -> Dict[str, Any]:
-    """Tracing-off vs. tracing-on, same workload, same shard count.
+    """Tracing-off vs. tracing-on, same workload, same server config.
 
     The baseline run disables sampling and the audit directory
     entirely; the traced run samples at ``sample_rate`` into a
@@ -630,20 +378,23 @@ def _tracing_overhead_entry(
     EXPERIMENTS.md holds under 10%.
     """
     baseline_config = replace(
-        base, port=0, shards=shards, trace_sample_rate=0.0, audit_dir=None
+        base, port=0, trace_sample_rate=0.0, audit_dir=None
     )
     with BackgroundServer(baseline_config) as background:
-        baseline = execute_load(background.host, background.port, options)
+        baseline = asyncio.run(
+            run_load(background.host, background.port, options)
+        )
     with tempfile.TemporaryDirectory(prefix="repro-audit-") as audit_dir:
         traced_config = replace(
             base,
             port=0,
-            shards=shards,
             trace_sample_rate=sample_rate,
             audit_dir=audit_dir,
         )
         with BackgroundServer(traced_config) as background:
-            traced = execute_load(background.host, background.port, options)
+            traced = asyncio.run(
+                run_load(background.host, background.port, options)
+            )
         audit_records = len(load_audit_dir(audit_dir))
     baseline_p99 = baseline.latency_summary().get("p99")
     traced_p99 = traced.latency_summary().get("p99")
@@ -651,16 +402,9 @@ def _tracing_overhead_entry(
     if baseline_p99 and traced_p99 is not None:
         overhead = traced_p99 / baseline_p99 - 1.0
     return {
-        "shards": shards,
         "sample_rate": sample_rate,
         "baseline_p99_seconds": baseline_p99,
         "traced_p99_seconds": traced_p99,
         "p99_overhead_ratio": overhead,
         "audit_records": audit_records,
     }
-
-
-def _external_shards(report: LoadReport) -> int:
-    """Best-effort shard count of an external target."""
-    shards = report.per_shard_server_metrics or report.shard_counts
-    return max(1, len(shards))

@@ -22,12 +22,6 @@ requests to finish (no admitted request loses its response), then
 close idle connections, flush the batcher, stop the worker tier, and
 export the ``--trace`` / ``--metrics`` artifacts if configured.
 
-The connection-handling machinery lives in :class:`AsyncJsonServer`,
-shared with the shard supervisor of :mod:`repro.service.sharding` —
-``repro serve --shards N`` runs N of these servers as spawn-context
-processes behind one supervisor, each with its own engine and cache
-(see DESIGN.md §11).
-
 Ops endpoints: ``GET /healthz`` (liveness + queue state) and ``GET
 /metrics`` (the :class:`~repro.obs.MetricsRegistry` JSON export,
 schema documented in DESIGN.md §8 — the same payload ``--metrics``
@@ -38,11 +32,11 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import pathlib
 import signal
 from typing import Any, Dict, Optional, Tuple
 
-from ..engine import Engine, ShardLocalCache
+from ..core.probability import DEFAULT_ENUMERATION_LIMIT
+from ..engine import Engine
 from ..obs import Histogram, MetricsRegistry, Obs, Tracer
 from ..obs.audit import (
     ADMISSION_STAGE,
@@ -64,6 +58,7 @@ from ..meanfield.evaluate import evaluate_spec
 from .specs import (
     RequestError,
     ScaledEvaluateRequest,
+    check_monte_carlo_work,
     parse_evaluate_payload,
     scaled_evaluate_response,
 )
@@ -93,6 +88,9 @@ DEADLINE_BURN_BUCKETS: Tuple[float, ...] = (
     2.0,
 )
 
+#: The process label of this server's audit records and log file.
+PROCESS_NAME = "server"
+
 Route = Tuple[int, Dict[str, Any], Dict[str, str]]
 
 
@@ -112,8 +110,6 @@ def _endpoint_name(path: str) -> str:
         return "healthz"
     if path == "/metrics":
         return "metrics"
-    if path == "/shards":
-        return "shards"
     if path == "/v1/debug/requests":
         return "debug_requests"
     if path == "/v1/_sleep":
@@ -134,23 +130,17 @@ def _query_int(path: str, name: str, default: int) -> int:
     return default
 
 
-class AsyncJsonServer:
-    """Shared asyncio HTTP machinery: accept, parse, route, drain.
+class EvaluationServer:
+    """One asyncio HTTP server wired to an engine, batcher, and pool.
 
-    Subclasses implement :meth:`_route` (and optionally the
-    :meth:`_shutdown_components` hook, called after in-flight requests
-    drained).  Everything else — keep-alive connection loops, request
-    accounting, 5xx shielding, the idle/draining bookkeeping the
-    graceful-shutdown path relies on — is identical between the
-    single-process evaluation server and the shard supervisor, so it
-    lives here once.
+    It owns the keep-alive connection loops, request accounting, 5xx
+    shielding and the idle/draining bookkeeping that graceful
+    shutdown relies on, plus the evaluation components: the engine
+    and its memo cache, the micro-batcher and the worker tier.
     """
 
     def __init__(
-        self,
-        config: ServiceConfig,
-        obs: Optional[Obs],
-        process_name: str = "server",
+        self, config: ServiceConfig, obs: Optional[Obs] = None
     ) -> None:
         self.config = config
         if obs is None:
@@ -160,14 +150,13 @@ class AsyncJsonServer:
             )
         self.obs = obs
         self.metrics = obs.metrics
-        self.process_name = process_name
         self.audit = AuditLogger(
             path=(
-                audit_log_path(config.audit_dir, process_name)
+                audit_log_path(config.audit_dir, PROCESS_NAME)
                 if config.audit_dir
                 else None
             ),
-            process=process_name,
+            process=PROCESS_NAME,
             max_bytes=config.audit_max_bytes,
             ring_size=config.audit_ring,
         )
@@ -198,6 +187,19 @@ class AsyncJsonServer:
         )
         self._inflight_gauge = self.metrics.gauge("service.inflight")
         self._inflight_gauge.set(0)
+        self.engine = Engine(
+            backend=config.backend,
+            obs=self.obs,
+            cache_size=config.cache_size,
+        )
+        self.engine.span_hook = self._engine_span_hook
+        self.batcher = MicroBatcher(
+            self.engine,
+            self.metrics,
+            max_batch=config.max_batch,
+            audit=self.audit,
+        )
+        self.pool = WorkerPool(config.workers, self.metrics)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -222,17 +224,19 @@ class AsyncJsonServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._shutdown_requested = asyncio.Event()
-        await self._start_components()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
-        self._log_started()
-
-    async def _start_components(self) -> None:
-        """Hook: bring up subclass-owned resources before binding."""
-
-    def _log_started(self) -> None:
-        logger.info("serving on http://%s:%d", self.config.host, self.port)
+        logger.info(
+            "serving on http://%s:%d (backend=%s, workers=%d, "
+            "max_batch=%d, queue_limit=%d)",
+            self.config.host,
+            self.port,
+            self.config.backend,
+            self.config.workers,
+            self.config.max_batch,
+            self.config.queue_limit,
+        )
 
     def request_shutdown(self) -> None:
         """Signal-safe: ask the serve loop to drain and exit."""
@@ -283,7 +287,9 @@ class AsyncJsonServer:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        await self._shutdown_components()
+        await self.batcher.drain()
+        self.batcher.shutdown()
+        self.pool.shutdown()
         self._server = None
         self.metrics.gauge("service.drain.seconds").set(monotonic() - started)
         await asyncio.get_running_loop().run_in_executor(
@@ -295,9 +301,6 @@ class AsyncJsonServer:
         # after SIGTERM).
         self.audit.close()
         logger.info("shutdown complete")
-
-    async def _shutdown_components(self) -> None:
-        """Hook: tear down subclass-owned resources after the drain."""
 
     def _export_artifacts(self) -> None:
         if self.config.trace_path:
@@ -460,13 +463,10 @@ class AsyncJsonServer:
         limit = _query_int(request.path, "limit", 64)
         return {
             "schema_version": AUDIT_SCHEMA_VERSION,
-            "process": self.process_name,
+            "process": PROCESS_NAME,
             "sample_rate": self.config.trace_sample_rate,
             "requests": self.audit.recent(limit),
         }
-
-    async def _route(self, request: HttpRequest) -> Route:
-        raise NotImplementedError
 
     @staticmethod
     def _expect_method(request: HttpRequest, method: str) -> None:
@@ -500,46 +500,6 @@ class AsyncJsonServer:
                 headers={"Retry-After": str(RETRY_AFTER_SECONDS)},
             )
 
-
-class EvaluationServer(AsyncJsonServer):
-    """One asyncio HTTP server wired to an engine, batcher, and pool.
-
-    ``shard_index`` identifies this server inside a sharded deployment
-    (``repro serve --shards N``): it labels the health payload, the
-    ``service.shard.index`` gauge, and the warm-start cache snapshot
-    file.  A standalone server is simply shard ``None``.
-    """
-
-    def __init__(
-        self,
-        config: ServiceConfig,
-        obs: Optional[Obs] = None,
-        shard_index: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            config,
-            obs,
-            process_name=(
-                "server" if shard_index is None else f"shard{shard_index}"
-            ),
-        )
-        self.shard_index = shard_index
-        self.engine = Engine(
-            backend=config.backend,
-            obs=self.obs,
-            cache=ShardLocalCache(config.cache_size),
-        )
-        self.engine.span_hook = self._engine_span_hook
-        self.batcher = MicroBatcher(
-            self.engine,
-            self.metrics,
-            max_batch=config.max_batch,
-            audit=self.audit,
-        )
-        self.pool = WorkerPool(config.workers, self.metrics)
-        if shard_index is not None:
-            self.metrics.gauge("service.shard.index").set(shard_index)
-
     def _engine_span_hook(
         self, name: str, duration: float, attributes: Dict[str, Any]
     ) -> None:
@@ -560,69 +520,6 @@ class EvaluationServer(AsyncJsonServer):
             batch_id=batch_id,
             operation=name,
             **attributes,
-        )
-
-    # -- lifecycle -----------------------------------------------------
-
-    async def _start_components(self) -> None:
-        # Snapshot import reads from disk — keep it off the loop even
-        # at boot so a slow volume cannot delay the accept loop (RC006).
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._import_cache_snapshot)
-
-    def _log_started(self) -> None:
-        logger.info(
-            "serving on http://%s:%d (backend=%s, workers=%d, "
-            "max_batch=%d, queue_limit=%d, shard=%s)",
-            self.config.host,
-            self.port,
-            self.config.backend,
-            self.config.workers,
-            self.config.max_batch,
-            self.config.queue_limit,
-            self.shard_index if self.shard_index is not None else "-",
-        )
-
-    async def _shutdown_components(self) -> None:
-        await self.batcher.drain()
-        self.batcher.shutdown()
-        self.pool.shutdown()
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._export_cache_snapshot)
-
-    # -- warm-start cache snapshots ------------------------------------
-
-    def _snapshot_path(self) -> Optional[pathlib.Path]:
-        if not self.config.cache_snapshot_dir:
-            return None
-        index = self.shard_index if self.shard_index is not None else 0
-        return (
-            pathlib.Path(self.config.cache_snapshot_dir)
-            / f"shard-{index}.cache"
-        )
-
-    def _import_cache_snapshot(self) -> None:
-        path = self._snapshot_path()
-        if path is None or not path.exists():
-            return
-        try:
-            imported = self.engine.import_cache_snapshot(path.read_bytes())
-        except Exception:  # a stale/corrupt snapshot must not kill boot
-            logger.warning("ignoring unreadable cache snapshot %s", path)
-            return
-        self.metrics.counter("service.cache.warm_start_entries").inc(imported)
-        logger.info("warm start: %d cache entries from %s", imported, path)
-
-    def _export_cache_snapshot(self) -> None:
-        path = self._snapshot_path()
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(self.engine.export_cache_snapshot())
-        logger.info(
-            "cache snapshot (%d entries) written to %s",
-            self.engine.cache_len,
-            path,
         )
 
     # -- routing -------------------------------------------------------
@@ -657,16 +554,13 @@ class EvaluationServer(AsyncJsonServer):
         raise HttpError(404, f"no route for {path!r}")
 
     def _health_payload(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
+        return {
             "status": "draining" if self._draining else "ok",
             "inflight": self._inflight,
             "queue_limit": self.config.queue_limit,
             "workers": self.config.workers,
             "backend": self.config.backend,
         }
-        if self.shard_index is not None:
-            payload["shard"] = self.shard_index
-        return payload
 
     async def _admitted(self, handler: Any, request: HttpRequest) -> Route:
         """Run ``handler`` under admission control and the deadline."""
@@ -731,14 +625,12 @@ class EvaluationServer(AsyncJsonServer):
             )
             return 200, scaled_evaluate_response(spec, evaluation), {}
         enumeration_limit = self.config.enumeration_limit
-        exact = (
-            spec.resolves_exact(enumeration_limit)
-            if enumeration_limit is not None
-            else spec.resolves_exact()
-        )
-        if exact:
+        if enumeration_limit is None:
+            enumeration_limit = DEFAULT_ENUMERATION_LIMIT
+        if spec.resolves_exact(enumeration_limit):
             result = await self.batcher.submit(spec, trace=request.trace)
             return 200, build_evaluate_response(spec, result), {}
+        check_monte_carlo_work(spec, enumeration_limit)
         payload = dict(spec.payload)
         payload["_backend"] = self.config.backend
         started = monotonic()
@@ -823,20 +715,12 @@ class EvaluationServer(AsyncJsonServer):
         return 200, {"slept": float(seconds)}, {}
 
 
-def make_server(
-    config: ServiceConfig, obs: Optional[Obs] = None
-) -> AsyncJsonServer:
-    """The server for ``config``: sharded supervisor or single process."""
-    if config.shards > 1:
-        from .sharding import ShardedEvaluationServer
-
-        return ShardedEvaluationServer(config, obs=obs)
-    return EvaluationServer(config, obs=obs)
-
-
 async def serve(config: ServiceConfig, obs: Optional[Obs] = None) -> None:
     """Run a server until SIGTERM/SIGINT (the ``repro serve`` body)."""
-    server = make_server(config, obs=obs)
+    # Off-loop: construction opens the audit log (mkdir + meta line).
+    server = await asyncio.get_running_loop().run_in_executor(
+        None, EvaluationServer, config, obs
+    )
     await server.start()
     server.install_signal_handlers()
     # An unbuffered, parseable readiness line: scripts wait for it.

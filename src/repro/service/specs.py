@@ -59,8 +59,16 @@ MAX_CONCRETE_ROUNDS = 64
 MAX_MEANFIELD_ROUNDS = 4_096
 
 #: The ``trials`` bound: no deadline stops a Monte Carlo worker.  It
-#: does not cover large concrete shapes (DESIGN.md §10).
+#: caps the fixed per-trial overhead on tiny shapes;
+#: :data:`MAX_MONTE_CARLO_WORK` caps what the trials cost together.
 MAX_TRIALS = 20_000
+
+#: The bound on a served Monte Carlo request's work, counted as trials
+#: x directed links x rounds.  A trial costs about 0.004-0.012 ms per
+#: directed link and round (DESIGN.md §10), so an accepted request holds
+#: a worker for under a minute.  The value is ``grid:3x3`` at 10 rounds
+#: and :data:`MAX_TRIALS` trials.
+MAX_MONTE_CARLO_WORK = 4_800_000
 
 #: How many parsed topologies :func:`_topology` keeps.
 TOPOLOGY_CACHE_SIZE = 32
@@ -120,6 +128,30 @@ class EvaluateRequest:
             return True
         size = self.protocol.tape_space(self.topology).joint_support_size()
         return size is not None and size <= enumeration_limit
+
+
+def check_monte_carlo_work(
+    request: EvaluateRequest,
+    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
+) -> None:
+    """Refuse a Monte Carlo request above :data:`MAX_MONTE_CARLO_WORK`.
+
+    Only a request that will run Monte Carlo is checked: an exact one
+    passes whatever its ``trials``.  The server calls this before the
+    request reaches the worker tier, whose deadline cannot stop a
+    running estimate.
+    """
+    if request.resolves_exact(enumeration_limit):
+        return
+    links = request.topology.num_directed_links()
+    work = request.trials * links * request.rounds
+    if work > MAX_MONTE_CARLO_WORK:
+        raise RequestError(
+            f"a Monte Carlo request takes trials x directed links x rounds "
+            f"<= {MAX_MONTE_CARLO_WORK}, got {request.trials} x {links} x "
+            f"{request.rounds} = {work}; this shape takes at most "
+            f"{MAX_MONTE_CARLO_WORK // (links * request.rounds)} trials"
+        )
 
 
 @dataclass(frozen=True)
@@ -245,7 +277,9 @@ def parse_evaluate_payload(
     Raises :class:`RequestError` with a client-actionable message for
     anything malformed: unknown fields, bad types, specs the CLI
     mini-language rejects, a ``file:PATH`` run (the server opens no
-    file a client names), ``trials`` above :data:`MAX_TRIALS`, or a
+    file a client names), ``trials`` above :data:`MAX_TRIALS` (the
+    server applies :func:`check_monte_carlo_work` once it knows a
+    request runs Monte Carlo), or a
     concrete request above :data:`MAX_CONCRETE_PROCESSES` processes or
     :data:`MAX_CONCRETE_ROUNDS` rounds.  A ``backend: "meanfield"`` field selects
     the scaled counter-abstraction path, bounded at

@@ -1,12 +1,11 @@
 """A background-thread server harness for tests, examples, and benches.
 
-Runs the server for the given config — a single
-:class:`~repro.service.server.EvaluationServer`, or the sharded
-supervisor when ``config.shards > 1`` — on its own event loop in a
-daemon thread, so synchronous callers (pytest, the examples, the
-self-contained ``repro bench-serve``) can stand up a real server on
-an ephemeral port, talk to it over real sockets, and tear it down —
-the same code paths production traffic exercises, no mocks.
+Runs an :class:`~repro.service.server.EvaluationServer` for the given
+config on its own event loop in a daemon thread, so synchronous
+callers (pytest, the examples, the self-contained ``repro
+bench-serve``) can stand up a real server on an ephemeral port, talk
+to it over real sockets, and tear it down — the same code paths
+production traffic exercises, no mocks.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Optional, Type
 
 from ..obs import Obs
 from .config import ServiceConfig
-from .server import AsyncJsonServer, make_server
+from .server import EvaluationServer
 
 STARTUP_TIMEOUT_S = 10.0
 
@@ -36,7 +35,7 @@ class BackgroundServer:
         self._obs = obs
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[AsyncJsonServer] = None
+        self._server: Optional[EvaluationServer] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self.port: int = 0
@@ -46,7 +45,7 @@ class BackgroundServer:
         return self.config.host
 
     @property
-    def server(self) -> AsyncJsonServer:
+    def server(self) -> EvaluationServer:
         if self._server is None:
             raise RuntimeError("server is not running")
         return self._server
@@ -56,9 +55,7 @@ class BackgroundServer:
             target=self._run, name="repro-service", daemon=True
         )
         self._thread.start()
-        # Each shard is a spawned interpreter that re-imports the
-        # package; give sharded configs a proportionally longer grace.
-        if not self._ready.wait(STARTUP_TIMEOUT_S * self.config.shards):
+        if not self._ready.wait(STARTUP_TIMEOUT_S):
             raise RuntimeError("server did not start in time")
         if self._startup_error is not None:
             raise RuntimeError("server failed to start") from self._startup_error
@@ -72,7 +69,10 @@ class BackgroundServer:
             self._ready.set()
 
     async def _main(self) -> None:
-        server = make_server(self.config, obs=self._obs)
+        # Off-loop: construction opens the audit log (mkdir + meta line).
+        server = await asyncio.get_running_loop().run_in_executor(
+            None, EvaluationServer, self.config, self._obs
+        )
         await server.start()
         self._server = server
         self._loop = asyncio.get_running_loop()
@@ -88,12 +88,7 @@ class BackgroundServer:
             except RuntimeError:
                 pass  # loop already closed
         if self._thread is not None:
-            # A sharded drain is two phases (supervisor, then shards),
-            # so allow the drain budget twice plus reaping slack.
-            drain_budget = self.config.drain_timeout_s * (
-                2 if self.config.shards > 1 else 1
-            )
-            self._thread.join(drain_budget + STARTUP_TIMEOUT_S)
+            self._thread.join(self.config.drain_timeout_s + STARTUP_TIMEOUT_S)
             if self._thread.is_alive():
                 raise RuntimeError("server thread did not stop")
         self._thread = None

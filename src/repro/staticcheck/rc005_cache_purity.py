@@ -22,7 +22,7 @@ rule verifies each one's body syntactically:
 The rule also covers the **cache surface itself**:
 :data:`repro.engine.cache.CACHE_SURFACE_QUALNAMES` registers the
 methods of every :class:`~repro.engine.cache.EngineCache`
-implementation (``get`` / ``put`` / snapshot export/import).  Those
+implementation (``get`` / ``put``).  Those
 run under the same no-globals / no-RNG / no-clock discipline, with
 one relaxation: mutating *their own* state through ``self`` is their
 job, so ``self`` is exempt from the argument-mutation check — keys

@@ -1,10 +1,10 @@
 """RC007 — spawn-safety: everything crossing a spawn boundary must pickle.
 
-The shard manager and the worker pool both use the ``spawn`` start
-method on purpose (DESIGN.md §10–11): children re-import the world and
-share nothing.  That only works when everything handed across the
-boundary is picklable *by construction* — a module-level function and
-plain-data arguments.  A lambda, a closure (any ``<locals>`` function),
+The service's worker pool uses the ``spawn`` start method on purpose
+(DESIGN.md §10): children re-import the world and share nothing.
+That only works when everything handed across the boundary is
+picklable *by construction* — a module-level function and plain-data
+arguments.  A lambda, a closure (any ``<locals>`` function),
 or a bound method of a stateful object either fails to pickle outright
 or, worse, drags an unpicklable object graph along.
 

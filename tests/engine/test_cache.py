@@ -1,39 +1,23 @@
 """The pluggable :mod:`repro.engine.cache` layer.
 
 Covers the :class:`EngineCache` interface contract (injection, FIFO
-bounds, disabled storage), the :class:`ShardLocalCache` warm-start
-snapshot round-trip across engines (the sharded serving tier's restart
-path), and the :class:`EngineBusyError` guard that keeps cache
-maintenance off a cache with evaluations in flight.
+bounds, disabled storage) and the :class:`EngineBusyError` guard that
+keeps cache maintenance off a cache with evaluations in flight.
 """
 
 from __future__ import annotations
 
-import pickle
-import random
 from typing import List, Optional, Tuple
 
 import pytest
 
 from repro.core.probability import EventProbabilities
-from repro.core.run import bernoulli_run, good_run
+from repro.core.run import good_run
 from repro.core.topology import Topology
-from repro.engine import (
-    Engine,
-    EngineBusyError,
-    EngineCache,
-    InProcessCache,
-    ShardLocalCache,
-)
-from repro.engine.cache import SNAPSHOT_VERSION
+from repro.engine import Engine, EngineBusyError, EngineCache, InProcessCache
 from repro.protocols.protocol_s import ProtocolS
 
 PAIR = Topology.pair()
-
-
-def _runs(num_rounds=4, count=12, seed=3):
-    rng = random.Random(seed)
-    return [bernoulli_run(PAIR, num_rounds, 0.5, rng) for _ in range(count)]
 
 
 class TestInProcessCache:
@@ -108,61 +92,10 @@ class TestEngineCacheInjection:
         expected = Engine.cache_key(protocol, PAIR, run)
         assert all(key == expected for _, key in cache.calls)
 
-    def test_plain_cache_has_no_snapshot_support(self):
-        engine = Engine(backend="reference", cache=_RecordingCache())
-        with pytest.raises(TypeError, match="snapshot"):
-            engine.export_cache_snapshot()
-        with pytest.raises(TypeError, match="snapshot"):
-            engine.import_cache_snapshot(b"")
-
     def test_default_cache_is_bounded_in_process(self):
         engine = Engine(backend="reference", cache_size=7)
         assert isinstance(engine.cache, InProcessCache)
         assert engine.cache.max_size == 7
-
-
-class TestShardLocalSnapshot:
-    def test_snapshot_round_trip_warms_a_fresh_engine(self):
-        """Export from one engine, import into another: every entry
-        re-keys through ``Engine.cache_key`` and serves hits without
-        re-evaluating (the shard warm-start path)."""
-        warm = Engine(backend="reference", cache=ShardLocalCache(1024))
-        protocol = ProtocolS(epsilon=0.25)
-        runs = _runs(count=8)
-        expected = [warm.evaluate(protocol, PAIR, run) for run in runs]
-        blob = warm.export_cache_snapshot()
-
-        cold = Engine(backend="reference", cache=ShardLocalCache(1024))
-        imported = cold.import_cache_snapshot(blob)
-        assert imported == warm.cache_len == cold.cache_len
-        replayed = [cold.evaluate(protocol, PAIR, run) for run in runs]
-        assert replayed == expected
-        assert cold.stats.cache_hits == len(runs)
-        assert cold.stats.reference_evaluations == 0
-
-    def test_snapshot_survives_pickle_boundary(self):
-        # The service tier writes the blob to disk between processes;
-        # the bytes themselves must be self-contained.
-        warm = Engine(backend="reference", cache=ShardLocalCache(64))
-        warm.evaluate(ProtocolS(epsilon=0.5), PAIR, good_run(PAIR, 3))
-        blob = bytes(warm.export_cache_snapshot())
-        cold = Engine(backend="reference", cache=ShardLocalCache(64))
-        assert cold.import_cache_snapshot(blob) == 1
-
-    def test_unknown_snapshot_version_imports_nothing(self):
-        blob = pickle.dumps((SNAPSHOT_VERSION + 1, []))
-        cache = ShardLocalCache(16)
-        assert cache.import_snapshot(blob) == 0
-        assert len(cache) == 0
-
-    def test_import_respects_cache_bound(self):
-        warm = Engine(backend="reference", cache=ShardLocalCache(1024))
-        protocol = ProtocolS(epsilon=0.125)
-        for run in _runs(count=6, seed=11):
-            warm.evaluate(protocol, PAIR, run)
-        small = ShardLocalCache(2)
-        small.import_snapshot(warm.export_cache_snapshot())
-        assert len(small) == 2
 
 
 class TestBusyGuard:
@@ -170,17 +103,13 @@ class TestBusyGuard:
         """The thread-affinity contract is enforced: with an
         evaluation in flight, every cache-mutating entry point raises
         instead of pulling entries out from under the reader."""
-        engine = Engine(backend="reference", cache=ShardLocalCache(16))
+        engine = Engine(backend="reference", cache_size=16)
         engine.evaluate(ProtocolS(epsilon=0.25), PAIR, good_run(PAIR, 4))
         with engine._evaluating():
             with pytest.raises(EngineBusyError, match="in flight"):
                 engine.clear_cache()
             with pytest.raises(EngineBusyError, match="in flight"):
                 engine.reset()
-            with pytest.raises(EngineBusyError, match="in flight"):
-                engine.export_cache_snapshot()
-            with pytest.raises(EngineBusyError, match="in flight"):
-                engine.import_cache_snapshot(b"")
             # Reads stay safe under the same condition.
             assert engine.cache_len == 1
         engine.clear_cache()  # guard releases once evaluations finish

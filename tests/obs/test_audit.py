@@ -1,11 +1,12 @@
 """Audit trails: trace contexts, the JSONL logger, and stitching.
 
 Covers the three layers DESIGN.md §12 documents: the deterministic
-sampling verdict and header round-trip, the per-process logger under
-concurrent writers (threads through one logger, spawn processes into
-one directory) including size rotation, and the order-independence
-of :func:`stitch_request` — per-shard logs merge into the same tree
-no matter which order the files are read in.
+sampling verdict and what request headers may (the id) and may not
+(the verdict) decide, the per-process logger under concurrent writers
+(threads through one logger, spawn processes into one directory)
+including size rotation, and the order-independence of
+:func:`stitch_request` — records stitch into the same tree no matter
+which order they are read in.
 """
 
 import itertools
@@ -21,11 +22,8 @@ from repro.obs.audit import (
     AUDIT_SCHEMA_VERSION,
     BATCH_STAGE,
     ENGINE_STAGE,
-    PROXY_STAGE,
     REQUEST_ID_HEADER,
     RESPONSE_STAGE,
-    ROUTE_STAGE,
-    SAMPLED_HEADER,
     WORKER_STAGE,
     AuditLogger,
     TraceContext,
@@ -38,6 +36,10 @@ from repro.obs.audit import (
     render_request_tree,
     stitch_request,
 )
+
+#: A request header claiming a sampling verdict; the server must not
+#: take it from clients.
+SAMPLED_HEADER = "x-repro-trace-sampled"
 
 # -- sampling ----------------------------------------------------------
 
@@ -84,36 +86,22 @@ class TestTraceContext:
         assert trace.client_supplied is False
         assert len(trace.request_id) == 12
 
-    def test_relayed_verdict_pins_sampling(self):
-        """The supervisor's verdict overrides re-classification on the
-        shard hop — even a client-supplied id stays dropped."""
-        dropped = TraceContext.from_headers(
-            {
-                REQUEST_ID_HEADER.lower(): "client-id",
-                SAMPLED_HEADER.lower(): "0",
-            },
+    def test_sampled_header_cannot_force_auditing(self):
+        """A client cannot audit every request at a low sample rate."""
+        trace = TraceContext.from_headers(
+            {SAMPLED_HEADER: "1"}, sample_rate=0.0
+        )
+        assert trace.client_supplied is False
+        assert trace.sampled is False
+
+    def test_sampled_header_cannot_hide_a_client_request(self):
+        """A client-supplied id is audited whatever the header says."""
+        trace = TraceContext.from_headers(
+            {REQUEST_ID_HEADER.lower(): "client-id", SAMPLED_HEADER: "0"},
             sample_rate=1.0,
         )
-        assert dropped.sampled is False
-        kept = TraceContext.from_headers(
-            {
-                REQUEST_ID_HEADER.lower(): "client-id",
-                SAMPLED_HEADER.lower(): "1",
-            },
-            sample_rate=0.0,
-        )
-        assert kept.sampled is True
-
-    def test_propagation_round_trip(self):
-        origin = TraceContext.from_headers({}, sample_rate=0.0)
-        assert origin.sampled is False
-        wire = {
-            key.lower(): value
-            for key, value in origin.propagation_headers().items()
-        }
-        hop = TraceContext.from_headers(wire, sample_rate=1.0)
-        assert hop.request_id == origin.request_id
-        assert hop.sampled is False
+        assert trace.request_id == "client-id"
+        assert trace.sampled is True
 
     def test_new_request_ids_are_distinct(self):
         ids = {new_request_id() for _ in range(64)}
@@ -203,12 +191,12 @@ class TestAuditLogger:
             assert generation.stat().st_size <= 2 * 1024
 
     def test_spawned_processes_share_a_directory(self, tmp_path):
-        """One audit directory, one file per process — the layout the
-        sharded tier writes and ``load_audit_dir`` reads back."""
+        """One audit directory, one file per process — the layout
+        ``load_audit_dir`` reads back."""
         ctx = multiprocessing.get_context("spawn")
         workers = [
             ctx.Process(
-                target=_spawn_writer, args=(str(tmp_path), f"shard{i}", 5)
+                target=_spawn_writer, args=(str(tmp_path), f"worker{i}", 5)
             )
             for i in range(2)
         ]
@@ -221,7 +209,7 @@ class TestAuditLogger:
         by_process = {}
         for record in records:
             by_process.setdefault(record["process"], []).append(record)
-        assert sorted(by_process) == ["shard0", "shard1"]
+        assert sorted(by_process) == ["worker0", "worker1"]
         assert all(len(spans) == 5 for spans in by_process.values())
 
     def test_read_tolerates_torn_tail(self, tmp_path):
@@ -247,8 +235,8 @@ class TestAuditLogger:
         assert merged > live  # the .1 backup contributed
 
     def test_audit_log_path_layout(self, tmp_path):
-        assert audit_log_path(str(tmp_path), "shard3").endswith(
-            os.path.join(str(tmp_path), "audit-shard3.jsonl")
+        assert audit_log_path(str(tmp_path), "server").endswith(
+            os.path.join(str(tmp_path), "audit-server.jsonl")
         )
 
     def test_flush_makes_records_durable(self, tmp_path):
@@ -315,36 +303,34 @@ def span(process, stage, request_id, t_start, **attributes):
 
 RID = "req-under-test"
 
-#: A full two-process trace (supervisor + shard, batch execution),
-#: plus records stitching must *exclude*: another request's spans and
-#: an engine span for an unrelated batch.
+#: A full trace of a batch execution, plus records stitching must
+#: *exclude*: another request's spans and an engine span for an
+#: unrelated batch.
 TRACE_RECORDS = [
-    span("supervisor", ADMISSION_STAGE, RID, 100.0, admitted=True),
-    span("supervisor", ROUTE_STAGE, RID, 100.001, shard=1),
-    span("supervisor", PROXY_STAGE, RID, 100.002, shard=1, status=200),
+    span("server", ADMISSION_STAGE, RID, 100.0, admitted=True),
     span(
-        "shard1",
+        "server",
         BATCH_STAGE,
         None,
-        100.003,
+        100.001,
         batch_id="b1",
         member_request_ids=[RID, "other-req"],
     ),
-    span("shard1", ENGINE_STAGE, None, 100.004, batch_id="b1", runs=2),
-    span("shard1", RESPONSE_STAGE, RID, 100.005, status=200),
-    span("supervisor", RESPONSE_STAGE, RID, 100.006, status=200),
+    span("server", ENGINE_STAGE, None, 100.002, batch_id="b1", runs=2),
+    span("server", RESPONSE_STAGE, RID, 100.003, status=200),
 ]
 FOREIGN_RECORDS = [
-    span("shard0", RESPONSE_STAGE, "someone-else", 100.001, status=200),
-    span("shard0", ENGINE_STAGE, None, 100.002, batch_id="b9", runs=1),
+    span("server", RESPONSE_STAGE, "someone-else", 100.001, status=200),
+    span("server", ENGINE_STAGE, None, 100.002, batch_id="b9", runs=1),
 ]
 
 
 class TestStitchRequest:
     def test_batch_membership_joins_indirect_spans(self):
         tree = stitch_request(TRACE_RECORDS + FOREIGN_RECORDS, RID)
-        assert tree.processes == ["supervisor", "shard1"]
-        assert tree.stages("shard1") == [
+        assert tree.processes == ["server"]
+        assert tree.stages("server") == [
+            ADMISSION_STAGE,
             BATCH_STAGE,
             ENGINE_STAGE,
             RESPONSE_STAGE,
@@ -359,15 +345,18 @@ class TestStitchRequest:
 
     def test_foreign_records_excluded(self):
         tree = stitch_request(TRACE_RECORDS + FOREIGN_RECORDS, RID)
-        assert "shard0" not in tree.processes
+        assert all(
+            record.get("request_id") != "someone-else"
+            for record in tree.spans
+        )
         assert all(
             record.get("attributes", {}).get("batch_id") != "b9"
             for record in tree.spans
         )
 
     def test_order_independence(self):
-        """The property the per-shard log merge relies on: any read
-        order of the same records stitches to the identical tree."""
+        """The property the audit-log merge relies on: any read order
+        of the same records stitches to the identical tree."""
         canonical = stitch_request(TRACE_RECORDS, RID).spans
         assert len(canonical) == len(TRACE_RECORDS)
         for permutation in itertools.permutations(TRACE_RECORDS):
@@ -378,14 +367,6 @@ class TestStitchRequest:
             ADMISSION_STAGE,
             f"{BATCH_STAGE}|{WORKER_STAGE}",
             RESPONSE_STAGE,
-        ]
-        no_proxy = [
-            record
-            for record in TRACE_RECORDS
-            if record["stage"] != PROXY_STAGE
-        ]
-        assert missing_stages(stitch_request(no_proxy, RID)) == [
-            PROXY_STAGE
         ]
         no_engine = [
             record

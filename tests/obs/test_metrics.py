@@ -153,18 +153,18 @@ class TestRegistry:
 
 
 class TestShardSnapshotMerge:
-    """Property-style checks for the sharded serving tier: the
-    supervisor folds N per-shard snapshots into one registry, and the
-    result must not depend on which shard answered first."""
+    """Property-style checks for snapshot merges: the server folds the
+    metrics snapshot of every worker-tier result into its registry,
+    and the result must not depend on which worker answered first."""
 
     @staticmethod
-    def _shard_snapshot(index, rounds=3):
-        """A realistic per-shard registry: shared cumulative counters
-        and latency histograms plus one shard-unique counter."""
+    def _worker_snapshot(index, rounds=3):
+        """A realistic per-worker registry: shared cumulative counters
+        and latency histograms plus one worker-unique counter."""
         registry = MetricsRegistry()
         registry.counter("service.requests_total").inc(10 + index)
         registry.counter("service.responses.2xx").inc(7 * (index + 1))
-        registry.counter(f"service.proxy.shard.{index}.requests").inc(index + 1)
+        registry.counter(f"worker.{index}.requests").inc(index + 1)
         latency = registry.histogram("service.request.latency")
         for step in range(rounds * (index + 1)):
             # Dyadic-rational samples: float addition over them is
@@ -184,14 +184,14 @@ class TestShardSnapshotMerge:
     def test_merge_over_shard_snapshots_is_order_independent(self):
         import itertools
 
-        snapshots = [self._shard_snapshot(index) for index in range(3)]
+        snapshots = [self._worker_snapshot(index) for index in range(3)]
         orders = list(itertools.permutations(range(3)))
         baseline = self._merged(snapshots, orders[0]).snapshot()
         for order in orders[1:]:
             assert self._merged(snapshots, order).snapshot() == baseline
 
     def test_merge_preserves_counter_and_histogram_totals(self):
-        snapshots = [self._shard_snapshot(index) for index in range(4)]
+        snapshots = [self._worker_snapshot(index) for index in range(4)]
         merged = self._merged(snapshots, range(4))
         total = sum(
             snapshot["service.requests_total"]["value"]
@@ -199,11 +199,11 @@ class TestShardSnapshotMerge:
         )
         assert merged.counter("service.requests_total").value == total
         histogram = merged.histogram("service.request.latency")
-        per_shard_counts = [
+        per_worker_counts = [
             snapshot["service.request.latency"]["count"]
             for snapshot in snapshots
         ]
-        assert histogram.count == sum(per_shard_counts)
+        assert histogram.count == sum(per_worker_counts)
         # Bucket mass is preserved exactly, not just the top-line count.
         bucket_total = sum(
             bucket["count"]
@@ -211,25 +211,14 @@ class TestShardSnapshotMerge:
             for bucket in snapshot["service.request.latency"]["buckets"]
         )
         assert sum(histogram.counts) == bucket_total == histogram.count
-        # Extremes survive the merge from whichever shard held them.
+        # Extremes survive the merge from whichever worker held them.
         assert histogram.min == min(
             snapshot["service.request.latency"]["min"] for snapshot in snapshots
         )
         assert histogram.max == max(
             snapshot["service.request.latency"]["max"] for snapshot in snapshots
         )
-        # Shard-unique counters pass through untouched.
+        # Worker-unique counters pass through untouched.
         for index in range(4):
-            name = f"service.proxy.shard.{index}.requests"
+            name = f"worker.{index}.requests"
             assert merged.counter(name).value == index + 1
-
-    def test_from_snapshot_round_trips_through_wire_form(self):
-        """from_snapshot(snapshot(r)) is indistinguishable from r —
-        the property the supervisor relies on when it rebuilds a
-        fresh registry per /metrics scrape."""
-        original = self._shard_snapshot(2)
-        rebuilt = MetricsRegistry.from_snapshot(original)
-        assert rebuilt.snapshot() == original
-        # And a second generation stays fixed (idempotent wire form).
-        again = MetricsRegistry.from_snapshot(rebuilt.snapshot())
-        assert again.snapshot() == original

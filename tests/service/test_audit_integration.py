@@ -1,23 +1,18 @@
 """Request tracing through live servers: headers, debug ring, stitching.
 
-Boots real servers (single-process and a two-shard supervisor) with an
-audit directory and checks the end-to-end contract DESIGN.md §12 and
-the CI serve smoke rely on: the request id echoes on success *and*
-error responses, ``GET /v1/debug/requests`` exposes the in-memory
-ring, and after shutdown the per-process JSONL logs alone stitch into
-a complete request tree.
+Boots real servers with an audit directory and checks the end-to-end
+contract DESIGN.md §12 and the CI serve smoke rely on: the request id
+echoes on success *and* error responses, ``GET /v1/debug/requests``
+exposes the in-memory ring, and after shutdown the JSONL log alone
+stitches into a complete request tree.
 """
 
 import asyncio
 
-import pytest
-
 from repro.obs.audit import (
     BATCH_STAGE,
     ENGINE_STAGE,
-    PROXY_STAGE,
     REQUEST_ID_HEADER,
-    ROUTE_STAGE,
     load_audit_dir,
     missing_stages,
     stitch_request,
@@ -105,57 +100,3 @@ class TestSingleProcess:
             generated = headers[REQUEST_ID_HEADER.lower()]
         records = load_audit_dir(str(tmp_path))
         assert stitch_request(records, generated).spans == []
-
-
-class TestSharded:
-    @pytest.fixture()
-    def sharded(self, tmp_path):
-        config = audited_config(
-            tmp_path, shards=2, drain_timeout_s=10.0
-        )
-        with BackgroundServer(config) as background:
-            yield background
-
-    def test_supervisor_and_shard_stitch_into_one_tree(
-        self, sharded, tmp_path
-    ):
-        status, headers, _ = call(
-            sharded.port,
-            "POST",
-            "/v1/evaluate",
-            EVALUATE,
-            headers={REQUEST_ID_HEADER: "itest-sharded"},
-        )
-        assert status == 200
-        assert headers[REQUEST_ID_HEADER.lower()] == "itest-sharded"
-        status, _, debug = call(
-            sharded.port, "GET", "/v1/debug/requests?limit=8"
-        )
-        assert status == 200
-        # The supervisor fans the debug ring out across every shard.
-        assert sorted(debug["shards"]) == ["0", "1"]
-        # The server is still running, but appends flush per record —
-        # the logs are already stitchable.
-        tree = stitch_request(
-            load_audit_dir(str(tmp_path)), "itest-sharded"
-        )
-        assert missing_stages(tree) == []
-        assert tree.processes[0] == "supervisor"
-        supervisor_stages = tree.stages("supervisor")
-        assert ROUTE_STAGE in supervisor_stages
-        assert PROXY_STAGE in supervisor_stages
-        shard_processes = [
-            process
-            for process in tree.processes
-            if process.startswith("shard")
-        ]
-        assert len(shard_processes) == 1
-        route = next(
-            span
-            for span in tree.spans
-            if span["stage"] == ROUTE_STAGE
-        )
-        assert route["attributes"]["policy"] == "consistent-hash"
-        assert (
-            f"shard{route['attributes']['shard']}" == shard_processes[0]
-        )

@@ -1,6 +1,8 @@
-"""The load generator and its BENCH_serve.json artifact (schema v3)."""
+"""The load generator and its BENCH_serve.json artifact (schema v5)."""
 
 import json
+import pathlib
+import runpy
 
 import pytest
 
@@ -9,7 +11,13 @@ from repro.service.loadgen import (
     BENCH_SCHEMA_VERSION,
     LoadReport,
     bench_payload,
-    scaling_entry,
+    result_block,
+)
+
+VALIDATOR = (
+    pathlib.Path(__file__).resolve().parents[2]
+    / "scripts"
+    / "validate_obs_artifacts.py"
 )
 
 
@@ -30,130 +38,94 @@ def test_loadgen_options_validate():
     with pytest.raises(ValueError):
         LoadgenOptions(concurrency=0)
     with pytest.raises(ValueError):
-        LoadgenOptions(processes=0)
-    with pytest.raises(ValueError):
         LoadgenOptions(groups=0)
 
 
-def test_self_contained_bench_writes_schema_v3_artifact(tmp_path):
-    output = tmp_path / "BENCH_serve.json"
+@pytest.fixture(scope="module")
+def bench_artifact(tmp_path_factory):
+    """One self-contained bench, written to disk: (path, payload)."""
+    output = tmp_path_factory.mktemp("bench") / "BENCH_serve.json"
     options = LoadgenOptions(requests=48, concurrency=8, rounds=6)
     payload = run_bench(
         options,
         output=str(output),
         server_config=ServiceConfig(port=0),
     )
+    return output, payload
+
+
+def test_self_contained_bench_writes_schema_v5_artifact(bench_artifact):
+    output, payload = bench_artifact
     on_disk = json.loads(output.read_text())
     assert on_disk == payload
-    assert payload["schema_version"] == BENCH_SCHEMA_VERSION
+    assert payload["schema_version"] == BENCH_SCHEMA_VERSION == 5
     assert payload["benchmark"] == "serve"
     assert payload["generated_at_utc"].endswith("+00:00")
     assert payload["git_sha"], "expected a git SHA inside the repo"
     assert payload["cpu_count"] >= 1
-    assert len(payload["scaling"]) == 1
-    entry = payload["headline"]
-    assert entry is payload["scaling"][-1] or entry == payload["scaling"][-1]
-    assert entry["shards"] == 1
-    assert entry["requests_total"] == 48
-    assert entry["requests_ok"] == 48
-    assert entry["requests_rejected"] == 0
-    assert entry["requests_failed"] == 0
-    assert entry["shed_rate"] == 0.0
-    assert entry["throughput_rps"] > 0
-    latency = entry["latency_seconds"]
+    result = payload["result"]
+    assert result["requests_total"] == 48
+    assert result["requests_ok"] == 48
+    assert result["requests_rejected"] == 0
+    assert result["requests_failed"] == 0
+    assert result["shed_rate"] == 0.0
+    assert result["throughput_rps"] > 0
+    latency = result["latency_seconds"]
     for key in ("min", "max", "mean", "p50", "p95", "p99"):
         assert key in latency
     assert latency["p50"] <= latency["p95"] <= latency["p99"] <= latency["max"]
-    # Per-shard SLO block exists even for a single target.
-    assert entry["per_shard"]["0"]["ok"] == 48
     # The acceptance smoke: concurrent identical specs demonstrably
     # coalesced into multi-request engine batches.
-    assert entry["batch_size_max"] > 1
+    assert result["batch_size_max"] > 1
     assert payload["metrics"]["service.batch.size"]["max"] > 1
     assert payload["metrics"]["service.responses.2xx"]["value"] >= 48
 
 
-def _served(report, shard, seconds):
-    report.note_served(shard, seconds)
+def test_bench_artifact_passes_the_validator(bench_artifact):
+    """The load generator and the CI validator agree on schema v5."""
+    output, _ = bench_artifact
+    validator = runpy.run_path(str(VALIDATOR))
+    errors: list = []
+    requests = validator["validate_bench_serve"](str(output), errors)
+    assert errors == []
+    assert requests == 48
 
 
 def test_scaling_entry_excludes_sheds_from_percentiles():
     """Satellite contract: 429s are counted, never timed."""
     report = LoadReport()
-    report.note_served(0, 0.01)
-    report.note_served(0, 0.02)
-    report.note_served(1, 0.03)
-    report.note_rejected(0, had_retry_after=True)
-    report.note_rejected(1, had_retry_after=False)
-    report.note_failed(1)
+    report.note_served(0.01)
+    report.note_served(0.02)
+    report.note_served(0.03)
+    report.note_rejected(had_retry_after=True)
+    report.note_rejected(had_retry_after=False)
+    report.note_failed()
     report.duration_seconds = 0.5
     report.finalize()
-    entry = scaling_entry(report, shards=2)
-    assert entry["requests_total"] == 6
-    assert entry["requests_ok"] == 3
-    assert entry["requests_rejected"] == 2
-    assert entry["requests_rejected_with_retry_after"] == 1
-    assert entry["requests_failed"] == 1
-    assert entry["shed_rate"] == pytest.approx(2 / 6)
+    result = result_block(report)
+    assert result["requests_total"] == 6
+    assert result["requests_ok"] == 3
+    assert result["requests_rejected"] == 2
+    assert result["requests_rejected_with_retry_after"] == 1
+    assert result["requests_failed"] == 1
+    assert result["shed_rate"] == pytest.approx(2 / 6)
     # Percentiles over the three served samples only.
-    assert entry["latency_seconds"]["max"] == 0.03
-    assert entry["latency_seconds"]["p99"] == 0.03
-    assert entry["per_shard"]["0"] == {
-        "requests": 3,
-        "ok": 2,
-        "rejected": 1,
-        "failed": 0,
-        "shed_rate": pytest.approx(1 / 3),
-        "latency_seconds": entry["per_shard"]["0"]["latency_seconds"],
-    }
-    assert entry["per_shard"]["1"]["failed"] == 1
-
-
-def test_load_report_merge_is_count_preserving():
-    left = LoadReport()
-    left.note_served(0, 0.01)
-    left.note_rejected(1, had_retry_after=True)
-    left.finalize()
-    right = LoadReport()
-    right.note_served(0, 0.02)
-    right.note_served(1, 0.04)
-    right.note_failed(0)
-    right.finalize()
-    merged = LoadReport()
-    merged.merge(left)
-    merged.merge(right)
-    assert merged.requests_total == 5
-    assert merged.requests_ok == 3
-    assert merged.requests_rejected == 1
-    assert merged.requests_failed == 1
-    assert sorted(merged.latencies) == [0.01, 0.02, 0.04]
-    assert merged.shard_counts["0"] == {"ok": 2, "rejected": 0, "failed": 1}
-    assert merged.shard_counts["1"] == {"ok": 1, "rejected": 1, "failed": 0}
+    assert result["latency_seconds"]["min"] == 0.01
+    assert result["latency_seconds"]["max"] == 0.03
+    assert result["latency_seconds"]["p99"] == 0.03
 
 
 def test_bench_payload_shape_from_synthetic_entries():
     report = LoadReport()
-    report.note_served(0, 0.01)
-    report.note_served(0, 0.02)
-    report.note_served(0, 0.03)
+    report.note_served(0.01)
+    report.note_served(0.02)
+    report.note_served(0.03)
     report.duration_seconds = 0.5
     report.finalize()
-    single = scaling_entry(report, shards=1)
-    fast = LoadReport()
-    for _ in range(3):
-        fast.note_served(0, 0.005)
-    fast.duration_seconds = 0.1
-    fast.finalize()
-    sharded = scaling_entry(fast, shards=4)
     payload = bench_payload(
-        [single, sharded], LoadgenOptions(), "http://host:1"
+        result_block(report), LoadgenOptions(), "http://host:1"
     )
     assert payload["workload"]["protocol"] == "S:0.25"
-    assert payload["headline"]["shards"] == 4
-    assert payload["scaling"][0]["latency_seconds"]["p50"] == 0.02
-    assert payload["speedup_vs_single_shard"] == pytest.approx(5.0)
-
-
-def test_bench_payload_requires_entries():
-    with pytest.raises(ValueError):
-        bench_payload([], LoadgenOptions(), "http://host:1")
+    assert payload["result"]["latency_seconds"]["p50"] == 0.02
+    assert payload["result"]["throughput_rps"] == pytest.approx(6.0)
+    assert "tracing" not in payload and "metrics" not in payload

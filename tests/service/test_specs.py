@@ -1,5 +1,6 @@
 """Request parsing and response shaping for ``/v1/evaluate``."""
 
+import dataclasses
 import json
 import urllib.error
 import urllib.request
@@ -14,9 +15,11 @@ from repro.service.specs import (
     MAX_CONCRETE_PROCESSES,
     MAX_CONCRETE_ROUNDS,
     MAX_MEANFIELD_ROUNDS,
+    MAX_MONTE_CARLO_WORK,
     MAX_TRIALS,
     RequestError,
     ScaledEvaluateRequest,
+    check_monte_carlo_work,
     evaluate_response,
     parse_evaluate_payload,
 )
@@ -248,3 +251,57 @@ def test_too_many_trials_is_a_400_over_the_wire():
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
         assert f"trials must be <= {MAX_TRIALS}" in json.load(excinfo.value)["error"]
+
+
+# grid:3x3 has 24 directed links: at 10 rounds and MAX_TRIALS trials a
+# Monte Carlo request does exactly MAX_MONTE_CARLO_WORK, at 11 more.
+GRID_MONTE_CARLO = {
+    "protocol": "S:0.25",
+    "topology": "grid:3x3",
+    "run": "good",
+    "rounds": 10,
+    "method": "monte-carlo",
+    "trials": MAX_TRIALS,
+}
+
+
+def test_monte_carlo_work_bound_is_inclusive():
+    assert MAX_MONTE_CARLO_WORK == 4_800_000
+    check_monte_carlo_work(parse_evaluate_payload(GRID_MONTE_CARLO))
+    longer = parse_evaluate_payload(dict(GRID_MONTE_CARLO, rounds=11))
+    with pytest.raises(RequestError, match="at most 18181 trials"):
+        check_monte_carlo_work(longer)
+    # complete:62 at 64 rounds: 3,782 directed links, 19 trials fit.
+    largest = parse_evaluate_payload(
+        {"topology": "complete:62", "rounds": 64, "method": "monte-carlo"}
+    )
+    check_monte_carlo_work(dataclasses.replace(largest, trials=19))
+    with pytest.raises(RequestError, match="20 x 3782 x 64 = 4840960"):
+        check_monte_carlo_work(dataclasses.replace(largest, trials=20))
+
+
+def test_exact_requests_pass_the_work_bound_whatever_their_trials():
+    request = parse_evaluate_payload(
+        {"topology": "complete:62", "rounds": 64, "method": "closed-form"}
+    )
+    assert request.trials == DEFAULT_TRIALS
+    assert request.trials * 3782 * 64 > MAX_MONTE_CARLO_WORK
+    check_monte_carlo_work(request)
+
+
+def test_monte_carlo_over_the_work_bound_is_a_400_over_the_wire():
+    payload = dict(GRID_MONTE_CARLO, rounds=11)
+    with BackgroundServer(ServiceConfig(port=0)) as server:
+        url = f"http://{server.host}:{server.server.port}/v1/evaluate"
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        error = json.load(excinfo.value)["error"]
+        assert "trials x directed links x rounds" in error
+        dispatches = server.server.metrics.counter("service.worker.dispatches")
+        assert dispatches.value == 0

@@ -13,16 +13,6 @@ class InProcessCache:
     def put(self, key, result):
         if self.max_size <= 0:
             return
+        if key not in self._data and len(self._data) >= self.max_size:
+            self._data.popitem()
         self._data[key] = result
-
-
-class ShardLocalCache(InProcessCache):
-    def export_snapshot(self):
-        return list(self._data.items())
-
-    def import_snapshot(self, blob):
-        imported = 0
-        for key, result in blob:
-            self.put(key, result)
-            imported += 1
-        return imported
