@@ -2,7 +2,7 @@
 # Regenerate every reproduction artifact from scratch.
 #
 # Outputs:
-#   results/full_reports.txt       full-scale text reports, E1..E15
+#   results/full_reports.txt       full-scale text reports, E1..E17
 #   benchmarks/results/*.txt/.md   per-experiment tables (quick scale, timed)
 #   benchmarks/results/BENCH_serve.json  serving-tier load benchmark
 #   test_output.txt                full unit/property suite transcript

@@ -108,16 +108,11 @@ CACHEABLE_QUALNAMES: Tuple[str, ...] = (
     "repro.meanfield.evaluate.evaluate_counter",
     "repro.meanfield.evaluate.evaluate_spec",
     "repro.protocols.ablations.NaiveCountingS.closed_form_probabilities",
-    "repro.protocols.ablations.SkewedS.closed_form_probabilities",
+    "repro.protocols.counting.CountingProtocol.closed_form_probabilities",
     "repro.protocols.deterministic.DeterministicProtocol.closed_form_probabilities",
-    "repro.protocols.message_validity.MessageValidityS.closed_form_probabilities",
     "repro.protocols.protocol_a.ProtocolA.closed_form_probabilities",
     "repro.protocols.protocol_m.ProtocolM.closed_form_probabilities",
-    "repro.protocols.protocol_s.ProtocolS.closed_form_probabilities",
     "repro.protocols.repeated_a.RepeatedA.closed_form_probabilities",
-    "repro.protocols.variants.EagerS.closed_form_probabilities",
-    "repro.protocols.variants.GreedyS.closed_form_probabilities",
-    "repro.protocols.weak_adversary.ProtocolW.closed_form_probabilities",
 )
 
 # Under ``auto``, batches smaller than this stay on the reference path.
@@ -142,16 +137,16 @@ _Row = Union[PackedRun, Run]
 def _keyed_rows(
     protocol: Protocol,
     topology: Topology,
-    runs: Union[List[_Row], RunBatch, PackedRun],
+    runs: Union[List[Run], RunBatch, PackedRun],
     method: str,
     trials: int,
 ) -> Tuple[List[_Row], List[Optional[tuple]]]:
     """The rows of a pipeline source, in result order, and their keys.
 
     A :class:`PackedRun` source stands for itself followed by its
-    single-bit neighbors in bit order.  In a list, a ``PackedRun`` is
-    one row, which must be on this topology's layout.  Keys are the
-    memo-cache keys of :meth:`Engine.cache_key`.
+    single-bit neighbors in bit order.  A list's runs are packed under
+    the topology's layout where they fit.  Keys are the memo-cache
+    keys of :meth:`Engine.cache_key`.
     """
     if isinstance(runs, RunBatch):
         rows: List[_Row] = [runs.packed(index) for index in range(len(runs))]
@@ -161,16 +156,6 @@ def _keyed_rows(
     else:
         rows = []
         for run in runs:
-            if isinstance(run, PackedRun):
-                # Its key names only (num_rounds, bits): on a foreign
-                # layout it would share a cache line with another run.
-                if run.layout.topology != topology:
-                    raise ValueError(
-                        f"packed run on {run.layout.topology.describe()} "
-                        f"cannot be evaluated on {topology.describe()}"
-                    )
-                rows.append(run)
-                continue
             try:
                 rows.append(PackedRun.from_run(topology, run))
             except ValueError:
@@ -569,7 +554,7 @@ class Engine:
         self,
         protocol: Protocol,
         topology: Topology,
-        runs: Sequence[Union[Run, PackedRun]],
+        runs: Sequence[Run],
         method: str = "auto",
         trials: int = DEFAULT_TRIALS,
         rng: Optional[random.Random] = None,
@@ -580,11 +565,8 @@ class Engine:
         Semantically equivalent to mapping :meth:`evaluate` over
         ``runs`` (same results, same rng consumption for Monte-Carlo
         protocols); the vectorized backend and the memo cache only
-        change how fast the answers arrive.  A run may be given as a
-        :class:`PackedRun` on this topology's layout: it is keyed,
-        looked up, deduplicated, routed and stored exactly like the
-        ``Run`` it encodes.  A ``PackedRun`` on any other topology's
-        layout raises ``ValueError`` before any lookup.
+        change how fast the answers arrive.  Packed runs go through
+        :meth:`evaluate_packed_many` instead.
         """
         runs = list(runs)
         results = self._pipeline(
@@ -671,7 +653,7 @@ class Engine:
         operation: str,
         protocol: Protocol,
         topology: Topology,
-        source: Union[Run, List[_Row], RunBatch, PackedRun],
+        source: Union[Run, List[Run], RunBatch, PackedRun],
         method: str,
         trials: int,
         rng: Optional[random.Random] = None,
@@ -680,12 +662,11 @@ class Engine:
     ) -> Union[List[EventProbabilities], EventColumns]:
         """Evaluate ``source`` in order: the one path behind every method.
 
-        ``source`` is one run (a scalar call), a list of runs (each a
-        ``Run`` or a ``PackedRun``), a :class:`RunBatch`, or a
-        :class:`PackedRun` standing for itself followed by its
-        single-bit neighbors in bit order.  Runs are packed once, on
-        entry: the packed form is both their cache key and the
-        kernel's input.  Runs are looked up in the memo cache, the
+        ``source`` is one run (a scalar call), a list of runs, a
+        :class:`RunBatch`, or a :class:`PackedRun` standing for itself
+        followed by its single-bit neighbors in bit order.  Runs are
+        packed once, on entry: the packed form is both their cache key
+        and the kernel's input.  Runs are looked up in the memo cache, the
         misses go to the backend :meth:`_route` picks for their count,
         duplicates among them are evaluated once, and exact results
         are stored; a list returns one result per run.
@@ -697,7 +678,7 @@ class Engine:
         stored.  Any other backend meets the cache with packed input as
         with a list, and the rows are stacked.
         """
-        runs: Union[List[_Row], RunBatch, PackedRun] = (
+        runs: Union[List[Run], RunBatch, PackedRun] = (
             [source] if isinstance(source, Run) else source
         )
         size = 1 + runs.layout.num_bits if isinstance(runs, PackedRun) else len(runs)

@@ -2,8 +2,8 @@
 
 This module generalizes the two-general recurrence that used to live
 in :mod:`repro.analysis.fast_mc` to *arbitrary* topologies and batches
-of runs.  The Figure 1 counting machine (shared by Protocols S and W,
-see :mod:`repro.protocols.counting`) has integer state — ``count``, a
+of runs.  The Figure 1 counting machine (see
+:mod:`repro.protocols.counting`) has integer state — ``count``, a
 ``seen`` set, and the ``valid`` / ``rfire``-heard flags — all of which
 vectorize across a batch of runs:
 
@@ -17,14 +17,19 @@ vectorize across a batch of runs:
   process reads only the previous round's state, so one step updates
   all processes of all lanes at once.
 
-Because the counting state is integral, the batch kernel reproduces
-the reference simulator *exactly* — not approximately — and the
-closed-form probability formulas applied on top are transcribed
-operation-for-operation from ``ProtocolS.closed_form_probabilities`` /
-``ProtocolW.closed_form_probabilities`` so the floats are bit-identical
-too.  ``tests/engine/test_vectorized.py`` enforces this on random
-connected topologies, runs and neighborhoods, and checks the round
-step state by state against the per-process loop it replaced.
+The kernel takes every protocol with a
+:class:`~repro.protocols.counting.CountingSpec` (Protocols S and W and
+the variants EagerS, GreedyS, SkewedS and MessageValidityS): the round
+step reads the spec's start and message gates, and one finisher applies
+its threshold map and rfire law.  Because the counting state is
+integral, the batch kernel reproduces the reference simulator
+*exactly* — not approximately — and :func:`threshold_columns` is the
+column twin of the reference formula
+:func:`~repro.protocols.counting.threshold_probabilities`, operation
+for operation, so the floats are bit-identical too.
+``tests/engine/test_vectorized.py`` enforces this on random connected
+topologies, runs and neighborhoods, and checks the round step state by
+state against the per-process loop it replaced.
 
 The specialized two-general kernels (``simulate_pair_counts`` and the
 valid-gated variant) remain as fast paths for the huge weak-adversary
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +49,8 @@ from ..core.probability import EventColumns, EventProbabilities
 from ..core.protocol import Protocol
 from ..core.run import Run
 from ..core.topology import Topology
-from ..core.types import ProcessId, Round
+from ..core.types import Round
+from ..protocols.counting import CountingProtocol, CountingSpec, RfireLaw
 
 # ``seen`` bitmasks live in int64 lanes; one bit per process.
 MAX_VECTORIZED_PROCESSES = 62
@@ -163,23 +169,22 @@ class CountingState:
 
 
 def _initial_state(
-    plan: _TopologyPlan,
-    inputs: np.ndarray,
-    rfire_gated: bool,
-    coordinator: ProcessId,
+    plan: _TopologyPlan, inputs: np.ndarray, spec: CountingSpec
 ) -> CountingState:
     """The pre-round-1 state of the Figure 1 machine."""
     valid = np.ascontiguousarray(inputs.T)
     rknown = np.zeros_like(valid)
-    if rfire_gated:
+    if spec.coordinator is not None:
         # Only the coordinator holds a defined rfire at the start (the
         # other processes' tapes are constant None).
-        rknown[coordinator - 1] = True
-        counting0 = valid & rknown
-    else:
-        counting0 = valid
+        rknown[spec.coordinator - 1] = True
+    counting0 = valid & rknown if spec.rfire_gated else valid
     count = np.where(counting0, np.int64(1), np.int64(0))
     seen = np.where(counting0, plan.own, np.int64(0))
+    if spec.message_gated and spec.coordinator is not None:
+        # No message has arrived yet: the coordinator defers its start.
+        count[spec.coordinator - 1] = 0
+        seen[spec.coordinator - 1] = 0
     return CountingState(count=count, seen=seen, valid=valid, rknown=rknown)
 
 
@@ -187,7 +192,7 @@ def _advance_rounds(
     plan: _TopologyPlan,
     delivered: np.ndarray,
     state: CountingState,
-    rfire_gated: bool,
+    spec: CountingSpec,
 ) -> CountingState:
     """Advance the counting machine over ``delivered.shape[1]`` rounds.
 
@@ -202,9 +207,9 @@ def _advance_rounds(
 
     A process without in-links gathers only pads, so no message reaches
     it and its ``valid`` and ``rknown`` never change.  Its initial
-    state therefore already counts if it can ever start, and otherwise
-    its count stays 0: the step needs no has-in-links mask to leave
-    such a process as it was.
+    state therefore already counts if it can ever start (a message-gated
+    coordinator never can), and otherwise its count stays 0: the step
+    needs no has-in-links mask to leave such a process as it was.
     """
     lanes, num_rounds = delivered.shape[:2]
     # (round, link, lane), plus the never-delivered pad column.
@@ -216,6 +221,11 @@ def _advance_rounds(
     seen = state.seen
     valid = state.valid
     rknown = state.rknown
+    rfire_gated = spec.rfire_gated
+    # The message gate holds back one row: the coordinator's.
+    gated_row: Optional[int] = None
+    if spec.message_gated and spec.coordinator is not None:
+        gated_row = spec.coordinator - 1
 
     # d[i, k, lane]: whether process i's k-th in-link delivers.
     for d in columns[:, plan.link_columns]:
@@ -226,6 +236,8 @@ def _advance_rounds(
         can_start = (count == 0) & valid_next
         if rfire_gated:
             can_start &= rknown_next
+        if gated_row is not None:
+            can_start[gated_row] &= d[gated_row].any(axis=0)
         ci = np.where(can_start, np.int64(1), count)
         si = np.where(can_start, own, seen)
         # Counting block: merge the highest delivered count.  An
@@ -269,24 +281,23 @@ def simulate_counting_batch(
     topology: Topology,
     delivered: np.ndarray,
     inputs: np.ndarray,
-    rfire_gated: bool,
-    coordinator: ProcessId = 1,
+    spec: CountingSpec,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run the Figure 1 counting machine over a batch of runs.
 
     Returns ``(counts, rfire_known)`` of shape ``(batch, m)``: the
     final ``count_i`` values and whether each process ever heard the
-    coordinator's ``rfire`` draw.  With ``rfire_gated`` the start rule
-    is Protocol S's (valid *and* rfire known); otherwise counting is
-    valid-gated (Protocol W, plain level tracking).
+    coordinator's ``rfire`` draw.  ``spec`` supplies the start gate
+    (rfire-gated for Protocol S, valid-gated for plain level tracking),
+    the coordinator and the message gate.
 
     The transition is a line-for-line vectorization of
     ``CountingLocal.transition``; ``seen`` sets are bitmasks.
     """
     plan = _plan(topology)
     _check_kernel_shapes(plan, delivered)
-    state = _initial_state(plan, inputs, rfire_gated, coordinator)
-    final = _advance_rounds(plan, delivered, state, rfire_gated)
+    state = _initial_state(plan, inputs, spec)
+    final = _advance_rounds(plan, delivered, state, spec)
     return final.count.T, final.rknown.T
 
 
@@ -294,8 +305,7 @@ def simulate_counting_history(
     topology: Topology,
     delivered: np.ndarray,
     inputs: np.ndarray,
-    rfire_gated: bool,
-    coordinator: ProcessId = 1,
+    spec: CountingSpec,
 ) -> List[CountingState]:
     """Run the counting machine, keeping the state at every boundary.
 
@@ -307,110 +317,90 @@ def simulate_counting_history(
     """
     plan = _plan(topology)
     _check_kernel_shapes(plan, delivered)
-    state = _initial_state(plan, inputs, rfire_gated, coordinator)
+    state = _initial_state(plan, inputs, spec)
     states = [state]
     for round_number in range(delivered.shape[1]):
         state = _advance_rounds(
             plan,
             delivered[:, round_number : round_number + 1, :],
             state,
-            rfire_gated,
+            spec,
         )
         states.append(state)
     return states
 
 
 # ----------------------------------------------------------------------
-# Per-protocol closed-form fast paths.
+# The finisher: threshold map and rfire law, as columns.
 # ----------------------------------------------------------------------
 
 
-def _protocol_s_columns(
-    counts: np.ndarray, rknown: np.ndarray, epsilon: float
-) -> EventColumns:
-    """Protocol S probabilities from ``(m, lanes)`` counts — transcribed
-    operation-for-operation from ``ProtocolS.closed_form_probabilities``
-    (``min``/``max`` become ``np.minimum``/``np.maximum`` over columns)
-    so the floats match the reference bit-for-bit."""
-    t = 1.0 / epsilon
-    thresholds = np.where(rknown, counts, np.int64(0))
-    pr_ta = np.minimum(1.0, thresholds.min(axis=0) / t)
-    pr_na = np.maximum(0.0, 1.0 - thresholds.max(axis=0) / t)
+def threshold_columns(thresholds: np.ndarray, law: RfireLaw) -> EventColumns:
+    """Event probabilities from ``(m, lanes)`` attack thresholds.
+
+    The column twin of
+    :func:`~repro.protocols.counting.threshold_probabilities`,
+    operation for operation (``min``/``max`` become reductions over
+    processes), so every float matches the reference bit for bit.
+    Thresholds are non-negative integers.
+    """
+    if law.kind == "uniform":
+        pr_attack = np.minimum(1.0, thresholds / law.top)
+    elif law.kind == "sqrt":
+        pr_attack = np.minimum(1.0, np.sqrt(thresholds / law.top))
+    else:
+        pr_attack = (thresholds >= law.top).astype(np.float64)
+    pr_ta = pr_attack.min(axis=0)
+    pr_na = 1.0 - pr_attack.max(axis=0)
     pr_pa = np.maximum(0.0, 1.0 - pr_ta - pr_na)
     return EventColumns(
         pr_total_attack=pr_ta,
         pr_no_attack=pr_na,
         pr_partial_attack=pr_pa,
-        pr_attack=np.minimum(1.0, thresholds / t),
+        pr_attack=pr_attack,
         method="closed-form",
     )
 
 
-def _protocol_w_columns(counts: np.ndarray, threshold: int) -> EventColumns:
-    """Protocol W probabilities (deterministic 0/1) from ``(m, lanes)``
-    counts."""
-    attacks = counts >= threshold
-    all_attack = attacks.all(axis=0)
-    none_attack = ~attacks.any(axis=0)
-    return EventColumns(
-        pr_total_attack=all_attack.astype(np.float64),
-        pr_no_attack=none_attack.astype(np.float64),
-        pr_partial_attack=(~(all_attack | none_attack)).astype(np.float64),
-        pr_attack=attacks.astype(np.float64),
-        method="closed-form",
-    )
+def _finish(
+    spec: CountingSpec, count: np.ndarray, rknown: np.ndarray
+) -> EventColumns:
+    """The one finisher: the spec's threshold map over final
+    ``(m, lanes)`` states (:meth:`CountingSpec.threshold`), then its law."""
+    if spec.coordinator is None:
+        thresholds = count
+    elif spec.slack == 0:
+        # Without slack a count of 0 maps to 0 either way: one pass.
+        thresholds = np.where(rknown, count, np.int64(0))
+    else:
+        thresholds = np.where(
+            rknown & (count >= 1), count + spec.slack, np.int64(0)
+        )
+    return threshold_columns(thresholds, spec.law)
 
 
 def supports(protocol: Protocol, topology: Topology) -> bool:
     """Whether the vectorized backend can evaluate this pair exactly.
 
-    Only the *exact* protocol classes are accepted (``type`` match, not
-    ``isinstance``): the ablated and variant subclasses change the
-    counting semantics, so they must take the reference path.
+    The kernel takes every protocol with a counting spec
+    (:class:`~repro.protocols.counting.CountingProtocol`) on a topology
+    it supports, up to :data:`MAX_VECTORIZED_PROCESSES` processes.
     """
-    from ..protocols.protocol_s import ProtocolS
-    from ..protocols.weak_adversary import ProtocolW
-
     if topology.num_processes > MAX_VECTORIZED_PROCESSES:
         return False
-    if type(protocol) is ProtocolS:
-        return protocol.supports_topology(topology)
-    if type(protocol) is ProtocolW:
-        return True
-    return False
-
-
-def _protocol_kernel(
-    protocol: Protocol,
-) -> Tuple[bool, ProcessId, Callable[[np.ndarray, np.ndarray], EventColumns]]:
-    """Dispatch a supported protocol to its kernel configuration.
-
-    Returns ``(rfire_gated, coordinator, finisher)`` where ``finisher``
-    maps the final ``(counts, rknown)`` arrays, process-major like the
-    kernel's state, to the batch's exact probabilities as columns.
-    Raises ``ValueError`` for unsupported protocols.
-    """
-    from ..protocols.protocol_s import ProtocolS
-    from ..protocols.weak_adversary import ProtocolW
-
-    if type(protocol) is ProtocolS:
-        epsilon = protocol.epsilon
-
-        def finish_s(counts: np.ndarray, rknown: np.ndarray) -> EventColumns:
-            return _protocol_s_columns(counts, rknown, epsilon)
-
-        return True, protocol.coordinator, finish_s
-    if type(protocol) is ProtocolW:
-        threshold = protocol.threshold
-
-        def finish_w(counts: np.ndarray, rknown: np.ndarray) -> EventColumns:
-            return _protocol_w_columns(counts, threshold)
-
-        return False, 1, finish_w
-    raise ValueError(
-        f"protocol {protocol.name!r} is not supported by the vectorized "
-        "backend"
+    return isinstance(protocol, CountingProtocol) and protocol.supports_topology(
+        topology
     )
+
+
+def _spec_of(protocol: Protocol) -> CountingSpec:
+    """The counting spec the kernel runs; ``ValueError`` without one."""
+    if not isinstance(protocol, CountingProtocol):
+        raise ValueError(
+            f"protocol {protocol.name!r} is not supported by the vectorized "
+            "backend"
+        )
+    return protocol.counting_spec
 
 
 def evaluate_batch(
@@ -438,12 +428,10 @@ def evaluate_packed_batch(
     """
     if batch.layout.topology != topology:
         raise ValueError("batch layout does not match the topology")
-    rfire_gated, coordinator, finish = _protocol_kernel(protocol)
+    spec = _spec_of(protocol)
     delivered, inputs = batch.tensors()
-    counts, rknown = simulate_counting_batch(
-        topology, delivered, inputs, rfire_gated, coordinator
-    )
-    return finish(counts.T, rknown.T)
+    counts, rknown = simulate_counting_batch(topology, delivered, inputs, spec)
+    return _finish(spec, counts.T, rknown.T)
 
 
 def evaluate_neighbor_batch(
@@ -467,14 +455,12 @@ def evaluate_neighbor_batch(
     layout = parent.layout
     if layout.topology != topology:
         raise ValueError("parent layout does not match the topology")
-    rfire_gated, coordinator, finish = _protocol_kernel(protocol)
+    spec = _spec_of(protocol)
     plan = _plan(topology)
     m = layout.num_processes
     num_links = layout.num_links
     delivered, inputs = RunBatch.from_bits(layout, (parent.bits,)).tensors()
-    states = simulate_counting_history(
-        topology, delivered, inputs, rfire_gated, coordinator
-    )
+    states = simulate_counting_history(topology, delivered, inputs, spec)
     # Input-bit neighbors: the flip changes the initial state, so the
     # whole horizon re-runs.
     flipped_inputs = np.repeat(inputs, m, axis=0)
@@ -484,8 +470,8 @@ def evaluate_neighbor_batch(
         _advance_rounds(
             plan,
             np.repeat(delivered, m, axis=0),
-            _initial_state(plan, flipped_inputs, rfire_gated, coordinator),
-            rfire_gated,
+            _initial_state(plan, flipped_inputs, spec),
+            spec,
         ),
     ]
     # Message-bit neighbors, by round: resume the L round-q lanes from
@@ -496,10 +482,11 @@ def evaluate_neighbor_batch(
         suffix[lanes, 0, lanes] ^= True
         finals.append(
             _advance_rounds(
-                plan, suffix, states[flip_round - 1].tiled(num_links), rfire_gated
+                plan, suffix, states[flip_round - 1].tiled(num_links), spec
             )
         )
-    neighborhood = finish(
+    neighborhood = _finish(
+        spec,
         np.concatenate([state.count for state in finals], axis=1),
         np.concatenate([state.rknown for state in finals], axis=1),
     )

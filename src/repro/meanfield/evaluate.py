@@ -7,9 +7,10 @@ Two entry points share the lumped kernels:
   compiles the run through the lumpability check, evaluates the lumped
   kernel, and expands per-class results back to per-process form.  The
   per-class final counts equal the reference per-process counts (the
-  lumping is exact, see :mod:`repro.meanfield.kernel`), and the float
-  arithmetic below is copied operation-for-operation from the
-  reference closed forms, so the returned
+  lumping is exact, see :mod:`repro.meanfield.kernel`), and S and W
+  apply their counting spec's threshold map and the reference formula
+  (:func:`~repro.protocols.counting.threshold_probabilities`) to them,
+  so the returned
   :class:`~repro.core.probability.EventProbabilities` is **bit-for-bit
   identical** to the reference backend's.  This is what
   ``Engine(backend="meanfield")`` calls, and it is registered in
@@ -39,6 +40,7 @@ from ..core.protocol import Protocol
 from ..core.run import Run
 from ..core.topology import Topology
 from ..core.types import Round
+from ..protocols.counting import threshold_probabilities
 from ..protocols.protocol_m import ProtocolM
 from ..protocols.protocol_s import ProtocolS
 from ..protocols.weak_adversary import ProtocolW
@@ -49,7 +51,12 @@ from .counter import (
     is_complete,
     spec_from_run,
 )
-from .kernel import awareness_kernel, counting_kernel, known_sizes
+from .kernel import (
+    LumpedCountingState,
+    awareness_kernel,
+    counting_kernel,
+    known_sizes,
+)
 
 
 @dataclass(frozen=True)
@@ -126,39 +133,6 @@ def evaluate_counter(
         )
     partition, spec = spec_from_run(topology, run, distinguished)
     class_of = partition.index_map()
-    if type(protocol) is ProtocolS:
-        rfire_class = class_of[protocol.coordinator]
-        states = counting_kernel(
-            spec, rfire_gated=True, rfire_class=rfire_class
-        )
-        class_thresholds = [
-            state.count if state.has_rfire else 0 for state in states
-        ]
-        # Identical float arithmetic to ProtocolS.closed_form_probabilities.
-        t = protocol.threshold
-        ordered = [
-            class_thresholds[class_of[i]] for i in topology.processes
-        ]
-        low = min(ordered)
-        high = max(ordered)
-        pr_ta = min(1.0, low / t)
-        pr_na = max(0.0, 1.0 - high / t)
-        pr_pa = max(0.0, 1.0 - pr_ta - pr_na)
-        pr_attack = tuple(min(1.0, a / t) for a in ordered)
-        return EventProbabilities(
-            pr_total_attack=pr_ta,
-            pr_no_attack=pr_na,
-            pr_partial_attack=pr_pa,
-            pr_attack=pr_attack,
-            method="closed-form",
-        )
-    if type(protocol) is ProtocolW:
-        states = counting_kernel(spec, rfire_gated=False, rfire_class=None)
-        outputs = [
-            states[class_of[i]].count >= protocol.threshold
-            for i in topology.processes
-        ]
-        return _deterministic_probabilities(outputs)
     if type(protocol) is ProtocolM:
         aware = awareness_kernel(spec)
         sizes = known_sizes(spec, aware)
@@ -167,6 +141,25 @@ def evaluate_counter(
             sizes[class_of[i]] >= quorum for i in topology.processes
         ]
         return _deterministic_probabilities(outputs)
+    if type(protocol) is ProtocolS or type(protocol) is ProtocolW:
+        counting = protocol.counting_spec
+        states = counting_kernel(
+            spec,
+            rfire_gated=counting.rfire_gated,
+            rfire_class=(
+                None
+                if counting.coordinator is None
+                else class_of[counting.coordinator]
+            ),
+        )
+        class_thresholds = [
+            counting.threshold(state.count, state.has_rfire)
+            for state in states
+        ]
+        return threshold_probabilities(
+            [class_thresholds[class_of[i]] for i in topology.processes],
+            counting.law,
+        )
     raise CounterAbstractionError(
         f"no lumped kernel for protocol {protocol.name!r}; the counter "
         "backend supports Protocols S, W and M"
@@ -175,7 +168,7 @@ def evaluate_counter(
 
 def _deterministic_probabilities(outputs: List[bool]) -> EventProbabilities:
     """The 0/1 event probabilities of a deterministic protocol —
-    operation-for-operation the W/M reference closed form."""
+    operation-for-operation Protocol M's reference closed form."""
     all_attack = all(outputs)
     none_attack = not any(outputs)
     return EventProbabilities(
@@ -201,39 +194,34 @@ def evaluate_spec(
     level = min(state.count for state in level_states)
     rfire_class = spec.distinguished_class()
     modified_level: Optional[int] = None
+    ml_states: Optional[Tuple[LumpedCountingState, ...]] = None
     if rfire_class is not None:
         ml_states = counting_kernel(
             spec, rfire_gated=True, rfire_class=rfire_class
         )
         modified_level = min(state.count for state in ml_states)
     class_sizes = tuple(cls.size for cls in spec.classes)
-    if type(protocol) is ProtocolS:
-        if rfire_class is None:
-            raise CounterAbstractionError(
-                "Protocol S needs a distinguished (coordinator) class in "
-                "the spec; build it with scaled_spec(distinguished=True)"
-            )
-        states = counting_kernel(
-            spec, rfire_gated=True, rfire_class=rfire_class
+    if type(protocol) is ProtocolS or type(protocol) is ProtocolW:
+        counting = protocol.counting_spec
+        states = level_states
+        if counting.rfire_gated:
+            if ml_states is None:
+                raise CounterAbstractionError(
+                    "Protocol S needs a distinguished (coordinator) class in "
+                    "the spec; build it with scaled_spec(distinguished=True)"
+                )
+            states = ml_states
+        probabilities = threshold_probabilities(
+            [
+                counting.threshold(state.count, state.has_rfire)
+                for state in states
+            ],
+            counting.law,
         )
-        thresholds = [
-            state.count if state.has_rfire else 0 for state in states
-        ]
-        t = protocol.threshold
-        low = min(thresholds)
-        high = max(thresholds)
-        pr_ta = min(1.0, low / t)
-        pr_na = max(0.0, 1.0 - high / t)
-        pr_pa = max(0.0, 1.0 - pr_ta - pr_na)
-        by_class = tuple(min(1.0, a / t) for a in thresholds)
-    elif type(protocol) is ProtocolW:
-        decided = [
-            state.count >= protocol.threshold for state in level_states
-        ]
-        pr_ta = 1.0 if all(decided) else 0.0
-        pr_na = 1.0 if not any(decided) else 0.0
-        pr_pa = 1.0 if not (all(decided) or not any(decided)) else 0.0
-        by_class = tuple(1.0 if flag else 0.0 for flag in decided)
+        pr_ta = probabilities.pr_total_attack
+        pr_na = probabilities.pr_no_attack
+        pr_pa = probabilities.pr_partial_attack
+        by_class = probabilities.pr_attack
     elif type(protocol) is ProtocolM:
         aware = awareness_kernel(spec)
         sizes = known_sizes(spec, aware)

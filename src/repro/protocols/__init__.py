@@ -10,17 +10,26 @@
   adversary protocol (deterministic level threshold).
 * :class:`ProtocolM` — simple-majority consensus (PAPERS.md
   substitution) for the large-m / mean-field regime.
+* the Figure 1 counting machine (:mod:`repro.protocols.counting`):
+  S, W and the variants :class:`EagerS`, :class:`GreedyS`,
+  :class:`SkewedS` and :class:`MessageValidityS` each configure it
+  with one :class:`CountingSpec` and share its closed form
+  (:func:`threshold_probabilities`).
 * deterministic baselines (:mod:`repro.protocols.deterministic`) for
   the impossibility backdrop.
 * executable Lemma 6.3 invariants (:mod:`repro.protocols.invariants`).
 """
 
-from .ablations import (
-    NaiveCountingS,
-    SkewedS,
-    threshold_probabilities_with_cdf,
+from .ablations import NaiveCountingS, SkewedS
+from .counting import (
+    CountingLocal,
+    CountingMessage,
+    CountingProtocol,
+    CountingSpec,
+    CountingState,
+    RfireLaw,
+    threshold_probabilities,
 )
-from .counting import CountingLocal, CountingMessage, CountingState
 from .deterministic import (
     AlwaysAttack,
     DeterministicProtocol,
@@ -40,12 +49,7 @@ from .protocol_a import APacket, AState, ProtocolA, sender_for_round
 from .protocol_m import MState, ProtocolM
 from .protocol_s import ProtocolS
 from .repeated_a import COMBINERS, RepeatedA
-from .variants import (
-    EagerS,
-    GreedyS,
-    XorCoin,
-    rfire_threshold_probabilities,
-)
+from .variants import EagerS, GreedyS, XorCoin
 from .weak_adversary import ProtocolW
 
 __all__ = [
@@ -55,6 +59,8 @@ __all__ = [
     "COMBINERS",
     "CountingLocal",
     "CountingMessage",
+    "CountingProtocol",
+    "CountingSpec",
     "CountingState",
     "DeterministicProtocol",
     "EagerS",
@@ -69,6 +75,7 @@ __all__ = [
     "ProtocolS",
     "ProtocolW",
     "RepeatedA",
+    "RfireLaw",
     "SkewedS",
     "XorCoin",
     "check_counts_equal_level",
@@ -77,7 +84,6 @@ __all__ = [
     "check_invariants",
     "deterministic_threshold",
     "impossibility_suite",
-    "rfire_threshold_probabilities",
-    "threshold_probabilities_with_cdf",
     "sender_for_round",
+    "threshold_probabilities",
 ]

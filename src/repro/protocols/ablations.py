@@ -19,45 +19,35 @@ breaks.  Together with :class:`~repro.protocols.variants.EagerS`
   equalizes the adversary's options.
 
 Both remain validity-satisfying protocols with exact closed forms (the
-message flow stays tape-independent).
+message flow stays tape-independent).  SkewedS is Protocol S's
+:class:`~repro.protocols.counting.CountingSpec` with the ``sqrt`` rfire
+law, so it shares S's machine, closed form and vectorized kernel.
+NaiveCountingS keeps its own machine and runs on the reference backend;
+its closed form calls the shared
+:func:`~repro.protocols.counting.threshold_probabilities`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.probability import EventProbabilities
 from ..core.protocol import ClosedFormProtocol, LocalProtocol, ReceivedMessage
-from ..core.randomness import ConstantTape, TapeDistribution, TapeSpace
+from ..core.randomness import TapeSpace
 from ..core.run import Run
 from ..core.topology import Topology
 from ..core.types import ProcessId, Round
-from .counting import CountingMessage, CountingState
-
-_PLACEHOLDER_RFIRE = 1.0
-
-
-def threshold_probabilities_with_cdf(
-    thresholds: Sequence[float], cdf: Callable[[float], float]
-) -> EventProbabilities:
-    """Event probabilities for attack-iff-``rfire <= a_i`` under any law.
-
-    Generalizes the uniform helper: ``Pr[D_i] = cdf(a_i)``; total
-    attack follows the minimum threshold, no-attack the maximum.
-    """
-    pr_attack = [min(1.0, max(0.0, cdf(max(0.0, a)))) for a in thresholds]
-    pr_ta = min(pr_attack)
-    pr_na = 1.0 - max(pr_attack)
-    pr_pa = max(0.0, 1.0 - pr_ta - pr_na)
-    return EventProbabilities(
-        pr_total_attack=pr_ta,
-        pr_no_attack=pr_na,
-        pr_partial_attack=pr_pa,
-        pr_attack=tuple(pr_attack),
-        method="closed-form",
-    )
+from .counting import (
+    _PLACEHOLDER_RFIRE,
+    CountingMessage,
+    CountingSpec,
+    CountingState,
+    RfireCountingProtocol,
+    RfireLaw,
+    rfire_tape_space,
+    threshold_probabilities,
+)
 
 
 class _NaiveCountingLocal(LocalProtocol):
@@ -125,29 +115,13 @@ class _NaiveCountingLocal(LocalProtocol):
 
 
 @dataclass(frozen=True)
-class _RfireSquaredTape(TapeDistribution):
-    """``rfire = t · V²`` with ``V ~ U(0, 1]`` — skewed toward zero."""
-
-    top: float
-
-    def sample(self, rng) -> float:
-        unit = 1.0 - rng.random()  # (0, 1]
-        return self.top * unit * unit
-
-
-def _uniform_rfire_space(
-    topology: Topology, coordinator: ProcessId, distribution: TapeDistribution
-) -> TapeSpace:
-    distributions: Dict[ProcessId, TapeDistribution] = {
-        i: ConstantTape() for i in topology.processes
-    }
-    distributions[coordinator] = distribution
-    return TapeSpace.from_dict(distributions)
-
-
-@dataclass(frozen=True)
 class NaiveCountingS(ClosedFormProtocol):
-    """Protocol S with the ``seen`` set ablated (see module docstring)."""
+    """Protocol S with the ``seen`` set ablated (see module docstring).
+
+    Its advance rule is not Figure 1's, so it has no
+    :class:`~repro.protocols.counting.CountingSpec` and runs on the
+    reference backend only.
+    """
 
     epsilon: float
     coordinator: ProcessId = 1
@@ -155,6 +129,8 @@ class NaiveCountingS(ClosedFormProtocol):
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        if self.coordinator < 1:
+            raise ValueError("coordinator must be a process id")
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -173,10 +149,8 @@ class NaiveCountingS(ClosedFormProtocol):
         return _NaiveCountingLocal(process, self.coordinator)
 
     def tape_space(self, topology: Topology) -> TapeSpace:
-        from ..core.randomness import UniformRealTape
-
-        return _uniform_rfire_space(
-            topology, self.coordinator, UniformRealTape(0.0, self.threshold)
+        return rfire_tape_space(
+            topology, self.coordinator, RfireLaw("uniform", self.threshold)
         )
 
     def final_counts(self, topology: Topology, run: Run) -> Dict[ProcessId, int]:
@@ -199,20 +173,17 @@ class NaiveCountingS(ClosedFormProtocol):
         execution = execute(
             self, topology, run, {self.coordinator: _PLACEHOLDER_RFIRE}
         )
-        thresholds: List[float] = []
+        thresholds: List[int] = []
         for process in topology.processes:
             state: CountingState = execution.local(process).states[-1]
-            thresholds.append(
-                0.0 if state.rfire is None else float(state.count)
-            )
-        t = self.threshold
-        return threshold_probabilities_with_cdf(
-            thresholds, lambda c: min(1.0, c / t)
+            thresholds.append(0 if state.rfire is None else state.count)
+        return threshold_probabilities(
+            thresholds, RfireLaw("uniform", self.threshold)
         )
 
 
 @dataclass(frozen=True)
-class SkewedS(ClosedFormProtocol):
+class SkewedS(RfireCountingProtocol):
     """Protocol S with a non-uniform ``rfire`` law (see module docstring).
 
     Counting is the faithful Figure 1 machine; only the draw changes:
@@ -222,56 +193,20 @@ class SkewedS(ClosedFormProtocol):
     epsilon: float
     coordinator: ProcessId = 1
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"skewed-S(eps={self.epsilon:g})"
 
-    @property
-    def threshold(self) -> float:
-        return 1.0 / self.epsilon
+    def _make_spec(self) -> CountingSpec:
+        """S's spec with the ``sqrt`` rfire law."""
+        return CountingSpec(
+            rfire_gated=True,
+            coordinator=self.coordinator,
+            message_gated=False,
+            slack=0,
+            law=RfireLaw("sqrt", self.threshold),
+        )
 
     def cdf(self, value: float) -> float:
         """``Pr[rfire <= value] = sqrt(value / t)`` clipped to [0, 1]."""
-        if value <= 0.0:
-            return 0.0
-        return min(1.0, math.sqrt(value / self.threshold))
-
-    def supports_topology(self, topology: Topology) -> bool:
-        return self.coordinator <= topology.num_processes
-
-    def local_protocol(
-        self, process: ProcessId, topology: Topology
-    ) -> LocalProtocol:
-        from .protocol_s import _ProtocolSLocal
-
-        return _ProtocolSLocal(
-            process=process,
-            all_processes=frozenset(topology.processes),
-            rfire_gated=True,
-            coordinator=self.coordinator,
-        )
-
-    def tape_space(self, topology: Topology) -> TapeSpace:
-        return _uniform_rfire_space(
-            topology, self.coordinator, _RfireSquaredTape(self.threshold)
-        )
-
-    def closed_form_probabilities(
-        self, topology: Topology, run: Run
-    ) -> EventProbabilities:
-        from ..core.execution import execute
-
-        execution = execute(
-            self, topology, run, {self.coordinator: _PLACEHOLDER_RFIRE}
-        )
-        thresholds: List[float] = []
-        for process in topology.processes:
-            state: CountingState = execution.local(process).states[-1]
-            thresholds.append(
-                0.0 if state.rfire is None else float(state.count)
-            )
-        return threshold_probabilities_with_cdf(thresholds, self.cdf)
+        return self.counting_spec.law.cdf(value)

@@ -21,106 +21,37 @@ Consequences, measured by experiment E13:
 * liveness is ``min(1, ε·ML'(R))`` for a delayed measure ``ML'`` with
   ``ML(R) - 1 ≤ ML'(R) ≤ ML(R)`` — the coordinator's start can lag by
   at most the one round it takes to hear anything.
+
+The gate is the ``message_gated`` field of Protocol S's
+:class:`~repro.protocols.counting.CountingSpec`; the machine, the
+closed form and the vectorized kernel are S's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
-from ..core.probability import EventProbabilities
-from ..core.protocol import ClosedFormProtocol, LocalProtocol
-from ..core.randomness import ConstantTape, TapeSpace, UniformRealTape
-from ..core.run import Run
-from ..core.topology import Topology
 from ..core.types import ProcessId
-from .counting import CountingLocal, CountingState
-from .variants import rfire_threshold_probabilities
-
-_PLACEHOLDER_RFIRE = 1.0
-
-
-class _MessageValidityLocal(CountingLocal):
-    """Protocol S counting with the coordinator's start gated on receipt."""
-
-    def initial_state(self, got_input: bool, tape: object) -> CountingState:
-        state = super().initial_state(got_input, tape)
-        if self._process == self._coordinator and state.count == 1:
-            # Defer the start: no message has been received yet.
-            return CountingState(
-                count=0, rfire=state.rfire, seen=frozenset(), valid=state.valid
-            )
-        return state
-
-    def _starts_counting(
-        self, state: CountingState, has_messages: bool
-    ) -> bool:
-        base = super()._starts_counting(state, has_messages)
-        if self._process == self._coordinator:
-            return base and has_messages
-        return base
-
-    def output(self, state: CountingState) -> bool:
-        return state.rfire is not None and state.count >= state.rfire
+from .counting import CountingSpec, RfireCountingProtocol, RfireLaw
 
 
 @dataclass(frozen=True)
-class MessageValidityS(ClosedFormProtocol):
+class MessageValidityS(RfireCountingProtocol):
     """Protocol S modified for the footnote-1 validity condition."""
 
     epsilon: float
     coordinator: ProcessId = 1
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"message-validity-S(eps={self.epsilon:g})"
 
-    @property
-    def threshold(self) -> float:
-        return 1.0 / self.epsilon
-
-    def supports_topology(self, topology: Topology) -> bool:
-        return self.coordinator <= topology.num_processes
-
-    def local_protocol(
-        self, process: ProcessId, topology: Topology
-    ) -> LocalProtocol:
-        return _MessageValidityLocal(
-            process=process,
-            all_processes=frozenset(topology.processes),
+    def _make_spec(self) -> CountingSpec:
+        """S's spec with the message gate on the coordinator's start."""
+        return CountingSpec(
             rfire_gated=True,
             coordinator=self.coordinator,
+            message_gated=True,
+            slack=0,
+            law=RfireLaw("uniform", self.threshold),
         )
-
-    def tape_space(self, topology: Topology) -> TapeSpace:
-        distributions: Dict[ProcessId, object] = {
-            i: ConstantTape() for i in topology.processes
-        }
-        distributions[self.coordinator] = UniformRealTape(0.0, self.threshold)
-        return TapeSpace.from_dict(distributions)
-
-    def attack_thresholds(
-        self, topology: Topology, run: Run
-    ) -> Dict[ProcessId, int]:
-        """The rfire-independent attack thresholds (flow is tape-free)."""
-        from ..core.execution import execute
-
-        execution = execute(
-            self, topology, run, {self.coordinator: _PLACEHOLDER_RFIRE}
-        )
-        thresholds: Dict[ProcessId, int] = {}
-        for process in topology.processes:
-            state: CountingState = execution.local(process).states[-1]
-            thresholds[process] = 0 if state.rfire is None else state.count
-        return thresholds
-
-    def closed_form_probabilities(
-        self, topology: Topology, run: Run
-    ) -> EventProbabilities:
-        thresholds = self.attack_thresholds(topology, run)
-        ordered = [float(thresholds[i]) for i in topology.processes]
-        return rfire_threshold_probabilities(ordered, self.threshold)

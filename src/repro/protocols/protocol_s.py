@@ -23,35 +23,22 @@ have closed forms: with ``a_i = count_i^N`` if process ``i`` heard
 * ``Pr[NA | R] = max(0, 1 - max_i a_i / t)``,
 * ``Pr[PA | R]`` is the remainder — the probability that ``rfire``
   lands strictly between the smallest and largest attack thresholds.
+
+S is the reference configuration of the shared Figure 1 machine; its
+machine, tapes and closed form live in :mod:`repro.protocols.counting`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
-from ..core.probability import EventProbabilities
-from ..core.protocol import ClosedFormProtocol, LocalProtocol
-from ..core.randomness import ConstantTape, TapeSpace, UniformRealTape
-from ..core.run import Run
 from ..core.topology import Topology
 from ..core.types import ProcessId
-from .counting import CountingLocal, CountingState
-
-# Placeholder rfire used when extracting the (rfire-independent) counts.
-_PLACEHOLDER_RFIRE = 1.0
-
-
-class _ProtocolSLocal(CountingLocal):
-    """Figure 1 counting plus the Protocol S output rule."""
-
-    def output(self, state: CountingState) -> bool:
-        """``O_i = 1`` iff ``rfire_i != undefined`` and ``count_i >= rfire_i``."""
-        return state.rfire is not None and state.count >= state.rfire
+from .counting import CountingSpec, RfireCountingProtocol, RfireLaw
 
 
 @dataclass(frozen=True)
-class ProtocolS(ClosedFormProtocol):
+class ProtocolS(RfireCountingProtocol):
     """Protocol S with agreement parameter ``ε`` (so ``t = 1/ε``).
 
     ``coordinator`` is the process that draws ``rfire``; the paper
@@ -62,23 +49,19 @@ class ProtocolS(ClosedFormProtocol):
     epsilon: float
     coordinator: ProcessId = 1
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.coordinator < 1:
-            raise ValueError("coordinator must be a process id")
-
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"protocol-S(eps={self.epsilon:g})"
 
-    @property
-    def threshold(self) -> float:
-        """``t = 1/ε`` — the top of the rfire interval."""
-        return 1.0 / self.epsilon
-
-    def supports_topology(self, topology: Topology) -> bool:
-        return self.coordinator <= topology.num_processes
+    def _make_spec(self) -> CountingSpec:
+        """rfire-gated start, ``a_i = count_i``, ``rfire ~ U(0, t]``."""
+        return CountingSpec(
+            rfire_gated=True,
+            coordinator=self.coordinator,
+            message_gated=False,
+            slack=0,
+            law=RfireLaw("uniform", self.threshold),
+        )
 
     def automorphism_invariant_vertices(self, topology: Topology):
         """Every process runs the same machine except the coordinator.
@@ -89,76 +72,3 @@ class ProtocolS(ClosedFormProtocol):
         for the subgroup fixing this vertex.
         """
         return frozenset([self.coordinator])
-
-    def local_protocol(
-        self, process: ProcessId, topology: Topology
-    ) -> LocalProtocol:
-        return _ProtocolSLocal(
-            process=process,
-            all_processes=frozenset(topology.processes),
-            rfire_gated=True,
-            coordinator=self.coordinator,
-        )
-
-    def tape_space(self, topology: Topology) -> TapeSpace:
-        """Only the coordinator is randomized: ``rfire ~ U(0, 1/ε]``."""
-        distributions: Dict[ProcessId, object] = {
-            i: ConstantTape() for i in topology.processes
-        }
-        distributions[self.coordinator] = UniformRealTape(0.0, self.threshold)
-        return TapeSpace.from_dict(distributions)
-
-    # ------------------------------------------------------------------
-    # Closed form
-    # ------------------------------------------------------------------
-
-    def attack_thresholds(
-        self, topology: Topology, run: Run
-    ) -> Dict[ProcessId, int]:
-        """The rfire-independent attack thresholds ``a_i``.
-
-        ``a_i = count_i^N`` when process ``i`` heard ``rfire`` in the
-        run, else 0 (it can never attack).  The counts do not depend on
-        the numeric value of ``rfire`` — it is only compared at output
-        time — so one execution with a placeholder draw recovers them.
-        By Lemma 6.4, ``a_i = ML_i(R)`` whenever process ``i`` heard
-        both the input and the coordinator.
-        """
-        from ..core.execution import execute
-
-        tapes = {self.coordinator: _PLACEHOLDER_RFIRE}
-        execution = execute(self, topology, run, tapes)
-        thresholds: Dict[ProcessId, int] = {}
-        for process in topology.processes:
-            state: CountingState = execution.local(process).states[-1]
-            if state.rfire is None:
-                thresholds[process] = 0
-            else:
-                thresholds[process] = state.count
-        return thresholds
-
-    def closed_form_probabilities(
-        self, topology: Topology, run: Run
-    ) -> EventProbabilities:
-        """Exact event probabilities via the uniform law of ``rfire``.
-
-        Process ``i`` attacks iff ``rfire <= a_i`` (and ``a_i > 0``),
-        where ``rfire ~ U(0, t]``; everything follows from
-        ``Pr[rfire <= c] = min(1, c / t)`` for integer ``c >= 0``.
-        """
-        thresholds = self.attack_thresholds(topology, run)
-        t = self.threshold
-        ordered = [thresholds[i] for i in topology.processes]
-        low = min(ordered)
-        high = max(ordered)
-        pr_ta = min(1.0, low / t)
-        pr_na = max(0.0, 1.0 - high / t)
-        pr_pa = max(0.0, 1.0 - pr_ta - pr_na)
-        pr_attack = tuple(min(1.0, a / t) for a in ordered)
-        return EventProbabilities(
-            pr_total_attack=pr_ta,
-            pr_no_attack=pr_na,
-            pr_partial_attack=pr_pa,
-            pr_attack=pr_attack,
-            method="closed-form",
-        )

@@ -20,144 +20,49 @@ experiments measure exactly how each one pays:
   decisions are probabilistically independent (Lemma A.2); on
   connected runs they are perfectly correlated.  (It makes no attempt
   at agreement — the lemma quantifies over *all* protocols.)
+
+EagerS and GreedyS are Protocol S's
+:class:`~repro.protocols.counting.CountingSpec` with one field changed
+(the start gate; the threshold map), so they share its machine, its
+closed form and the vectorized kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..core.probability import EventProbabilities
-from ..core.protocol import (
-    ClosedFormProtocol,
-    LocalProtocol,
-    Protocol,
-    ReceivedMessage,
-)
-from ..core.randomness import (
-    BitStringTape,
-    ConstantTape,
-    TapeSpace,
-    UniformRealTape,
-)
-from ..core.run import Run
+from ..core.protocol import LocalProtocol, Protocol, ReceivedMessage
+from ..core.randomness import BitStringTape, TapeSpace
 from ..core.topology import Topology
 from ..core.types import ProcessId, Round
-from .counting import CountingLocal, CountingState
-
-_PLACEHOLDER_RFIRE = 1.0
-
-
-def rfire_threshold_probabilities(
-    thresholds: Sequence[float], t: float
-) -> EventProbabilities:
-    """Event probabilities when process ``i`` attacks iff ``rfire <= a_i``.
-
-    Shared by every rfire-style closed form: ``rfire ~ U(0, t]``, so
-    ``Pr[D_i] = min(1, a_i/t)``, total attack is governed by the
-    minimum threshold and no-attack by the maximum.
-    """
-    low = min(thresholds)
-    high = max(thresholds)
-    pr_ta = min(1.0, max(0.0, low) / t)
-    pr_na = max(0.0, 1.0 - max(0.0, high) / t)
-    pr_pa = max(0.0, 1.0 - pr_ta - pr_na)
-    return EventProbabilities(
-        pr_total_attack=pr_ta,
-        pr_no_attack=pr_na,
-        pr_partial_attack=pr_pa,
-        pr_attack=tuple(min(1.0, max(0.0, a) / t) for a in thresholds),
-        method="closed-form",
-    )
-
-
-class _EagerSLocal(CountingLocal):
-    """Valid-gated counting; fires on ``count >= rfire`` if rfire known."""
-
-    def output(self, state: CountingState) -> bool:
-        return (
-            state.rfire is not None
-            and state.valid
-            and state.count >= state.rfire
-        )
+from .counting import CountingSpec, RfireCountingProtocol, RfireLaw
 
 
 @dataclass(frozen=True)
-class EagerS(ClosedFormProtocol):
+class EagerS(RfireCountingProtocol):
     """Protocol S driven by the plain level instead of the modified level."""
 
     epsilon: float
     coordinator: ProcessId = 1
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"eager-S(eps={self.epsilon:g})"
 
-    @property
-    def threshold(self) -> float:
-        return 1.0 / self.epsilon
-
-    def local_protocol(
-        self, process: ProcessId, topology: Topology
-    ) -> LocalProtocol:
-        return _EagerSLocal(
-            process=process,
-            all_processes=frozenset(topology.processes),
+    def _make_spec(self) -> CountingSpec:
+        """S's spec with a valid-gated start."""
+        return CountingSpec(
             rfire_gated=False,
             coordinator=self.coordinator,
-        )
-
-    def tape_space(self, topology: Topology) -> TapeSpace:
-        distributions: Dict[ProcessId, object] = {
-            i: ConstantTape() for i in topology.processes
-        }
-        distributions[self.coordinator] = UniformRealTape(0.0, self.threshold)
-        return TapeSpace.from_dict(distributions)
-
-    def closed_form_probabilities(
-        self, topology: Topology, run: Run
-    ) -> EventProbabilities:
-        from ..core.execution import execute
-
-        execution = execute(
-            self, topology, run, {self.coordinator: _PLACEHOLDER_RFIRE}
-        )
-        thresholds = []
-        for process in topology.processes:
-            state: CountingState = execution.local(process).states[-1]
-            if state.rfire is None or not state.valid:
-                thresholds.append(0.0)
-            else:
-                thresholds.append(float(state.count))
-        return rfire_threshold_probabilities(thresholds, self.threshold)
-
-
-class _GreedySLocal(CountingLocal):
-    """Protocol S counting; fires ``slack`` levels early."""
-
-    def __init__(self, process, all_processes, coordinator, slack) -> None:
-        super().__init__(
-            process=process,
-            all_processes=all_processes,
-            rfire_gated=True,
-            coordinator=coordinator,
-        )
-        self._slack = slack
-
-    def output(self, state: CountingState) -> bool:
-        return (
-            state.rfire is not None
-            and state.count >= 1
-            and state.count >= state.rfire - self._slack
+            message_gated=False,
+            slack=0,
+            law=RfireLaw("uniform", self.threshold),
         )
 
 
 @dataclass(frozen=True)
-class GreedyS(ClosedFormProtocol):
+class GreedyS(RfireCountingProtocol):
     """Protocol S with an early-firing discount of ``slack`` levels."""
 
     epsilon: float
@@ -165,52 +70,24 @@ class GreedyS(ClosedFormProtocol):
     coordinator: ProcessId = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.slack < 1:
             raise ValueError("slack must be >= 1 (use ProtocolS for slack 0)")
+        super().__post_init__()
 
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"greedy-S(eps={self.epsilon:g}, slack={self.slack})"
 
-    @property
-    def threshold(self) -> float:
-        return 1.0 / self.epsilon
-
-    def local_protocol(
-        self, process: ProcessId, topology: Topology
-    ) -> LocalProtocol:
-        return _GreedySLocal(
-            process=process,
-            all_processes=frozenset(topology.processes),
+    def _make_spec(self) -> CountingSpec:
+        """S's spec with ``a_i = count_i + slack``: process ``i`` attacks
+        iff ``count_i >= rfire - slack``."""
+        return CountingSpec(
+            rfire_gated=True,
             coordinator=self.coordinator,
+            message_gated=False,
             slack=self.slack,
+            law=RfireLaw("uniform", self.threshold),
         )
-
-    def tape_space(self, topology: Topology) -> TapeSpace:
-        distributions: Dict[ProcessId, object] = {
-            i: ConstantTape() for i in topology.processes
-        }
-        distributions[self.coordinator] = UniformRealTape(0.0, self.threshold)
-        return TapeSpace.from_dict(distributions)
-
-    def closed_form_probabilities(
-        self, topology: Topology, run: Run
-    ) -> EventProbabilities:
-        from ..core.execution import execute
-
-        execution = execute(
-            self, topology, run, {self.coordinator: _PLACEHOLDER_RFIRE}
-        )
-        thresholds = []
-        for process in topology.processes:
-            state: CountingState = execution.local(process).states[-1]
-            if state.rfire is None or state.count < 1:
-                thresholds.append(0.0)
-            else:
-                thresholds.append(float(state.count + self.slack))
-        return rfire_threshold_probabilities(thresholds, self.threshold)
 
 
 class _XorCoinLocal(LocalProtocol):

@@ -35,31 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.probability import EventProbabilities
-from ..core.protocol import ClosedFormProtocol, LocalProtocol
-from ..core.randomness import TapeSpace
-from ..core.run import Run
 from ..core.topology import Topology
-from ..core.types import ProcessId
-from .counting import CountingLocal, CountingState
-
-
-class _ProtocolWLocal(CountingLocal):
-    """Valid-gated counting plus a fixed-threshold output rule."""
-
-    def __init__(self, process, all_processes, threshold: int) -> None:
-        super().__init__(
-            process=process, all_processes=all_processes, rfire_gated=False
-        )
-        self._threshold = threshold
-
-    def output(self, state: CountingState) -> bool:
-        """``O_i = 1`` iff ``count_i >= K``."""
-        return state.count >= self._threshold
+from .counting import CountingProtocol, CountingSpec, RfireLaw
 
 
 @dataclass(frozen=True)
-class ProtocolW(ClosedFormProtocol):
+class ProtocolW(CountingProtocol):
     """Deterministic-threshold counting protocol (our §8 reconstruction).
 
     ``threshold`` is ``K``: the level a process must certify before
@@ -74,55 +55,24 @@ class ProtocolW(ClosedFormProtocol):
             raise ValueError(
                 f"threshold must be >= 1 for validity, got {self.threshold}"
             )
+        super().__post_init__()
 
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"protocol-W(K={self.threshold})"
 
+    def _make_spec(self) -> CountingSpec:
+        """Valid-gated start, no rfire, ``a_i = count_i``, a step at K:
+        process ``i`` attacks iff ``count_i >= K``."""
+        return CountingSpec(
+            rfire_gated=False,
+            coordinator=None,
+            message_gated=False,
+            slack=0,
+            law=RfireLaw("step", self.threshold),
+        )
+
     def automorphism_invariant_vertices(self, topology: Topology):
         """W is fully symmetric: every process runs the same machine,
         so the whole automorphism group preserves ``Pr[·|R]``."""
         return frozenset()
-
-    def local_protocol(
-        self, process: ProcessId, topology: Topology
-    ) -> LocalProtocol:
-        return _ProtocolWLocal(
-            process=process,
-            all_processes=frozenset(topology.processes),
-            threshold=self.threshold,
-        )
-
-    def tape_space(self, topology: Topology) -> TapeSpace:
-        """W is deterministic: no process holds any randomness."""
-        return TapeSpace.deterministic(list(topology.processes))
-
-    def final_counts(self, topology: Topology, run: Run):
-        """The deterministic final counts — equal to ``L_i(R)`` for
-        processes that heard the input (Lemma 6.4's valid-gated analogue).
-        """
-        from ..core.execution import execute
-
-        execution = execute(self, topology, run, {})
-        return {
-            process: execution.local(process).states[-1].count
-            for process in topology.processes
-        }
-
-    def closed_form_probabilities(
-        self, topology: Topology, run: Run
-    ) -> EventProbabilities:
-        """W is deterministic, so every probability is 0 or 1."""
-        counts = self.final_counts(topology, run)
-        outputs = [
-            counts[process] >= self.threshold for process in topology.processes
-        ]
-        all_attack = all(outputs)
-        none_attack = not any(outputs)
-        return EventProbabilities(
-            pr_total_attack=1.0 if all_attack else 0.0,
-            pr_no_attack=1.0 if none_attack else 0.0,
-            pr_partial_attack=1.0 if not (all_attack or none_attack) else 0.0,
-            pr_attack=tuple(1.0 if decided else 0.0 for decided in outputs),
-            method="closed-form",
-        )

@@ -148,6 +148,16 @@ class BlockCause:
         return f"calls {hops}, which blocks on {root}"
 
 
+#: Call forms whose method name alone may mark a blocking call (the
+#: receiver's type is unknown or external).
+_HEURISTIC_FORMS = (
+    "self_attr_method",
+    "local_attr_method",
+    "super_method",
+    "unknown",
+)
+
+
 def _short(fq: str) -> str:
     parts = fq.split(".")
     return ".".join(parts[-2:]) if len(parts) > 1 else fq
@@ -280,6 +290,17 @@ class CallGraph:
                 return [], None
             targets = self.find_method(class_fq, call.name)
             return [t for t in targets if t in self.functions], None
+        if call.form == "super_method":
+            # The first ancestor after the enclosing class defining it.
+            class_fq = self._class_of(node)
+            if class_fq is None:
+                return [], None
+            for ancestor in self._ancestors(class_fq)[1:]:
+                parent = self.classes.get(ancestor)
+                if parent is not None and call.name in parent.info.methods:
+                    fq = f"{ancestor}.{call.name}"
+                    return ([fq] if fq in self.functions else []), None
+            return [], None
         if call.form == "self_attr_method":
             class_fq = self._class_of(node)
             if class_fq is None:
@@ -394,6 +415,7 @@ class CallGraph:
         if method in BLOCKING_METHOD_NAMES and call.form in (
             "self_attr_method",
             "local_attr_method",
+            "super_method",
             "unknown",
             "dotted",
         ):
@@ -422,7 +444,7 @@ class CallGraph:
             sites.extend(
                 (call, None)
                 for call in node.info.calls
-                if call.form in ("self_attr_method", "local_attr_method", "unknown")
+                if call.form in _HEURISTIC_FORMS
             )
             for call, external in sorted(
                 sites, key=lambda item: (item[0].line, item[0].col)
@@ -460,7 +482,7 @@ class CallGraph:
         sites.extend(
             (call, None)
             for call in node.info.calls
-            if call.form in ("self_attr_method", "local_attr_method", "unknown")
+            if call.form in _HEURISTIC_FORMS
         )
         for call, external in sorted(
             sites, key=lambda item: (item[0].line, item[0].col)

@@ -50,7 +50,7 @@ __all__ = [
 
 #: Bumped whenever extraction output changes shape or semantics, so a
 #: stale on-disk cache can never feed phase 2 the wrong facts.
-ANALYZER_SCHEMA_VERSION = 1
+ANALYZER_SCHEMA_VERSION = 2
 
 #: Method names that mutate their receiver in place.  Used both for
 #: ``self.attr.append(...)`` (a write to the attribute) and for
@@ -121,7 +121,7 @@ class CallSite:
 
     line: int
     col: int
-    form: str  # dotted|local|self_method|self_attr_method|local_attr_method|unknown
+    form: str  # dotted|local|self_method|super_method|self_attr_method|local_attr_method|unknown
     name: str  # dotted path, local name, or method name (per form)
     attr: str = ""  # receiver: self-attribute or local variable name
     method: str = ""  # final attribute name, for method-name heuristics
@@ -287,6 +287,15 @@ def _attr_chain(node: ast.AST) -> Optional[List[str]]:
     parts.append(node.id)
     parts.reverse()
     return parts
+
+
+def _is_super_call(node: ast.AST) -> bool:
+    """True for the ``super()`` in ``super().name(...)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "super"
+    )
 
 
 class _Extractor:
@@ -779,6 +788,15 @@ class _FunctionBody:
                     col=col,
                     form="dotted",
                     name=dotted,
+                    method=method,
+                    refs=refs,
+                )
+            if _is_super_call(func.value):
+                return CallSite(
+                    line=line,
+                    col=col,
+                    form="super_method",
+                    name=method,
                     method=method,
                     refs=refs,
                 )

@@ -27,8 +27,8 @@ from ..core.seeding import spawn_random
 from ..core.probability import EventProbabilities
 from ..core.topology import Topology
 from ..core.types import ProcessId
+from ..protocols.counting import threshold_probabilities
 from ..protocols.protocol_s import ProtocolS
-from ..protocols.variants import rfire_threshold_probabilities
 from .execution import timed_decide, timed_execute_counts
 from .run import TimedRun
 
@@ -41,10 +41,13 @@ def timed_attack_thresholds(
     """Protocol S's deterministic attack thresholds on a timed run."""
     tapes = {protocol.coordinator: _PLACEHOLDER_RFIRE}
     _, history = timed_execute_counts(protocol, topology, run, tapes)
+    counting = protocol.counting_spec
     thresholds: Dict[ProcessId, int] = {}
     for process in topology.processes:
         state = history[process][-1]
-        thresholds[process] = 0 if state.rfire is None else state.count
+        thresholds[process] = counting.threshold(
+            state.count, state.rfire is not None
+        )
     return thresholds
 
 
@@ -53,8 +56,10 @@ def timed_closed_form(
 ) -> EventProbabilities:
     """Exact event probabilities for Protocol S on a timed run."""
     thresholds = timed_attack_thresholds(protocol, topology, run)
-    ordered = [float(thresholds[i]) for i in topology.processes]
-    return rfire_threshold_probabilities(ordered, protocol.threshold)
+    return threshold_probabilities(
+        [thresholds[i] for i in topology.processes],
+        protocol.counting_spec.law,
+    )
 
 
 def timed_monte_carlo(

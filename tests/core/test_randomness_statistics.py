@@ -18,7 +18,7 @@ from repro.core.randomness import (
     UniformIntTape,
     UniformRealTape,
 )
-from repro.protocols.ablations import _RfireSquaredTape
+from repro.protocols.counting import _RfireSquaredTape
 
 
 SAMPLES = 20_000

@@ -6,14 +6,12 @@ import random
 
 import pytest
 
-from repro.core.packed import PackedRun, layout_for
 from repro.core.probability import evaluate
-from repro.core.run import Run, bernoulli_run, good_run, silent_run
+from repro.core.run import bernoulli_run, good_run, silent_run
 from repro.core.topology import Topology
 from repro.engine import BACKENDS, Engine, default_engine
 from repro.protocols.protocol_a import ProtocolA
 from repro.protocols.protocol_s import ProtocolS
-from repro.protocols.weak_adversary import ProtocolW
 
 PAIR = Topology.pair()
 
@@ -146,67 +144,6 @@ class TestCache:
         assert auto.pr_partial_attack == pytest.approx(
             closed.pr_partial_attack
         )
-
-
-class TestPackedRows:
-    """``evaluate_many`` over ``PackedRun`` rows is the ``Run`` path."""
-
-    @pytest.mark.parametrize("backend", ["auto", "vectorized", "reference"])
-    @pytest.mark.parametrize(
-        "topology, protocol",
-        [(PAIR, ProtocolS(epsilon=0.25)), (Topology.path(3), ProtocolW(2))],
-        ids=["pair-S", "path3-W"],
-    )
-    def test_rows_match_runs(self, backend, topology, protocol):
-        rng = random.Random(5)
-        runs = [bernoulli_run(topology, 3, 0.5, rng) for _ in range(6)] + [
-            bernoulli_run(topology, 5, 0.5, rng) for _ in range(12)
-        ]
-        runs += runs[:4]  # duplicates within one call
-        by_run, by_row = Engine(backend=backend), Engine(backend=backend)
-        # A batch below the auto threshold, a mixed-horizon batch with
-        # duplicates, and a repeat served from the cache.
-        for batch in (runs[:5], runs, runs[10:]):
-            rows = [PackedRun.from_run(topology, run) for run in batch]
-            expected = by_run.evaluate_many(protocol, topology, batch)
-            assert by_row.evaluate_many(protocol, topology, rows) == expected
-            assert expected == [evaluate(protocol, topology, r) for r in batch]
-        stats = [engine.stats.as_dict() for engine in (by_run, by_row)]
-        for payload in stats:
-            del payload["wall_time_seconds"]
-        assert stats[0] == stats[1]
-        assert by_row.cache_len == by_run.cache_len
-        for run in runs:
-            key = Engine.cache_key(protocol, topology, run)
-            assert by_row.cache.get(key) == by_run.cache.get(key) is not None
-
-    def test_monte_carlo_rows_draw_like_runs(self):
-        protocol = ProtocolS(epsilon=0.25)
-        runs = _runs(count=6)
-        rows = [PackedRun.from_run(PAIR, run) for run in runs]
-        rngs = random.Random(9), random.Random(9)
-        results = [
-            Engine().evaluate_many(
-                protocol, PAIR, batch, method="monte-carlo", trials=40, rng=rng
-            )
-            for batch, rng in zip((runs, rows), rngs)
-        ]
-        assert results[0] == results[1]
-        assert rngs[0].getstate() == rngs[1].getstate()
-
-    @pytest.mark.parametrize("backend", ["auto", "vectorized", "reference"])
-    def test_foreign_layout_row_raises_before_lookup(self, backend):
-        # Inputs {1, 2} and deliveries (1, 2, 1), (2, 1, 1) on path:3's
-        # layout: a run the pair could evaluate, but the same integer
-        # on the pair's layout encodes another run, so caching its
-        # answer under the pair's key would serve it for that run.
-        row = PackedRun(layout_for(Topology.path(3), 2), 0b11011)
-        assert row.unpack() == Run.build(2, [1, 2], [(1, 2, 1), (2, 1, 1)])
-        engine = Engine(backend=backend)
-        with pytest.raises(ValueError, match="cannot be evaluated on"):
-            engine.evaluate_many(ProtocolS(epsilon=0.25), PAIR, [row])
-        assert engine.cache_len == 0
-        assert engine.stats.cache_misses == engine.stats.cache_hits == 0
 
 
 class TestStats:

@@ -30,10 +30,20 @@ from repro.core.probability import evaluate
 from repro.core.run import bernoulli_run, good_run
 from repro.core.topology import Topology
 from repro.engine import Engine, vectorized
-from repro.protocols.deterministic import NeverAttack
-from repro.protocols.protocol_a import ProtocolA
-from repro.protocols.protocol_s import ProtocolS
-from repro.protocols.weak_adversary import ProtocolW
+from repro.protocols import (
+    CountingSpec,
+    EagerS,
+    GreedyS,
+    MessageValidityS,
+    NaiveCountingS,
+    NeverAttack,
+    ProtocolA,
+    ProtocolS,
+    ProtocolW,
+    RfireLaw,
+    SkewedS,
+    XorCoin,
+)
 
 from ..conftest import runs_for, small_topology_strategy
 
@@ -58,13 +68,23 @@ def _topology_and_run() -> st.SearchStrategy:
     )
 
 
-def _protocols_for(num_rounds: int):
-    return [
+def _protocols_for(num_rounds: int, num_processes: int):
+    """S and W, and every S variant with coordinator 1 and m."""
+    protocols = [
         ProtocolS(epsilon=0.25),
         ProtocolS(epsilon=1.0 / max(1, num_rounds)),
         ProtocolW(1),
         ProtocolW(max(1, num_rounds // 2)),
     ]
+    for coordinator in sorted({1, num_processes}):
+        protocols += [
+            EagerS(epsilon=0.2, coordinator=coordinator),
+            GreedyS(epsilon=0.1, slack=1, coordinator=coordinator),
+            GreedyS(epsilon=1.0 / max(2, num_rounds), slack=2, coordinator=coordinator),
+            SkewedS(epsilon=0.25, coordinator=coordinator),
+            MessageValidityS(epsilon=0.25, coordinator=coordinator),
+        ]
+    return protocols
 
 
 class TestBatchParity:
@@ -72,7 +92,7 @@ class TestBatchParity:
     @settings(max_examples=120, deadline=None)
     def test_matches_reference_exactly(self, pair):
         topology, run = pair
-        for protocol in _protocols_for(run.num_rounds):
+        for protocol in _protocols_for(run.num_rounds, topology.num_processes):
             expected = evaluate(protocol, topology, run)
             (actual,) = vectorized.evaluate_batch(protocol, topology, [run])
             assert actual == expected
@@ -93,9 +113,8 @@ class TestBatchParity:
                     for _ in range(8)
                 ]
                 batch = RunBatch.from_runs(topology, num_rounds, runs)
-                for protocol in _protocols_for(num_rounds):
-                    if not vectorized.supports(protocol, topology):
-                        continue
+                for protocol in _protocols_for(num_rounds, m):
+                    assert vectorized.supports(protocol, topology)
                     expected = [
                         evaluate(protocol, topology, run) for run in runs
                     ]
@@ -149,15 +168,22 @@ class TestSupports:
         assert not vectorized.supports(ProtocolA(4), pair)
         assert not vectorized.supports(NeverAttack(), pair)
 
-    def test_rejects_subclasses(self):
-        # A variant subclass may override decision logic the kernel
-        # does not model; only the exact classes are fast-pathed.
-        class TweakedS(ProtocolS):
-            pass
-
-        assert not vectorized.supports(
-            TweakedS(epsilon=0.5), Topology.pair()
-        )
+    def test_takes_exactly_the_protocols_with_a_spec(self):
+        # The kernel runs a counting spec: a protocol without one (its
+        # own machine, or no counting at all) stays on the reference.
+        pair = Topology.pair()
+        for protocol in (
+            NaiveCountingS(epsilon=0.25),
+            ProtocolA(4),
+            NeverAttack(),
+            XorCoin(),
+        ):
+            assert not vectorized.supports(protocol, pair), protocol.name
+            with pytest.raises(ValueError, match="not supported"):
+                vectorized.evaluate_batch(protocol, pair, [good_run(pair, 2)])
+        for topology in NAMED_TOPOLOGIES:
+            for protocol in _protocols_for(4, topology.num_processes):
+                assert vectorized.supports(protocol, topology), protocol.name
 
 
 class TestTensorConversion:
@@ -211,18 +237,21 @@ STATE_FIELDS = ("count", "seen", "valid", "rknown")
 
 
 def _loop_initial_state(
-    topology: Topology, inputs: np.ndarray, rfire_gated: bool, coordinator: int
+    topology: Topology, inputs: np.ndarray, spec: CountingSpec
 ) -> LoopState:
     m = topology.num_processes
     batch = inputs.shape[0]
     own = np.array([np.int64(1) << i for i in range(m)], dtype=np.int64)
     valid = inputs.copy()
     rknown = np.zeros((batch, m), dtype=bool)
-    if rfire_gated:
-        rknown[:, coordinator - 1] = True
+    if spec.coordinator is not None:
+        rknown[:, spec.coordinator - 1] = True
+    if spec.rfire_gated:
         counting0 = valid & rknown
     else:
-        counting0 = valid
+        counting0 = valid.copy()
+    if spec.message_gated:
+        counting0[:, spec.coordinator - 1] = False
     count = np.where(counting0, np.int64(1), np.int64(0))
     seen = np.where(counting0, own[None, :], np.int64(0))
     return count, seen, valid, rknown
@@ -232,7 +261,7 @@ def _loop_advance_rounds(
     topology: Topology,
     delivered: np.ndarray,
     state: LoopState,
-    rfire_gated: bool,
+    spec: CountingSpec,
 ) -> LoopState:
     """The Figure 1 round transition, one process at a time."""
     m = topology.num_processes
@@ -269,8 +298,10 @@ def _loop_advance_rounds(
             )
             # Line 3: start counting.
             can_start = (prev_count[:, i] == 0) & valid_i
-            if rfire_gated:
+            if spec.rfire_gated:
                 can_start &= rknown_i
+            if spec.message_gated and i == spec.coordinator - 1:
+                can_start &= any_msg
             ci = np.where(can_start, np.int64(1), prev_count[:, i])
             si = np.where(can_start, own[i], prev_seen[:, i])
             # Counting block: merge the highest delivered count.
@@ -345,6 +376,32 @@ def _random_batch(
     return delivered, inputs
 
 
+def _gate_specs(m: int) -> List[CountingSpec]:
+    """Every start-gate / coordinator / message-gate combination."""
+    law = RfireLaw("uniform", 4.0)
+    combos = [(False, None, False)]
+    for coordinator in sorted({1, m}):
+        combos += [
+            (True, coordinator, False),
+            (False, coordinator, False),
+            (True, coordinator, True),
+            (False, coordinator, True),
+        ]
+    return [
+        CountingSpec(
+            rfire_gated=rfire_gated,
+            coordinator=coordinator,
+            message_gated=message_gated,
+            slack=0,
+            law=law,
+        )
+        for rfire_gated, coordinator, message_gated in combos
+    ]
+
+
+S_SPEC = ProtocolS(epsilon=0.25).counting_spec
+
+
 class TestRoundStepOracle:
     """The all-process round step equals the per-process loop."""
 
@@ -356,32 +413,26 @@ class TestRoundStepOracle:
         rng = np.random.default_rng(topology.num_processes * 1009 + len(topology.edges))
         plan = vectorized._plan(topology)
         m = topology.num_processes
-        for rfire_gated, coordinator in ((True, 1), (True, m), (False, 1)):
+        for spec in _gate_specs(m):
             for lanes in (1, 7, 300):
                 num_rounds = int(rng.integers(1, 7))
                 delivered, inputs = _random_batch(rng, topology, lanes, num_rounds)
-                loop = _loop_initial_state(topology, inputs, rfire_gated, coordinator)
-                step = vectorized._initial_state(
-                    plan, inputs, rfire_gated, coordinator
-                )
+                loop = _loop_initial_state(topology, inputs, spec)
+                step = vectorized._initial_state(plan, inputs, spec)
                 _assert_same_state(step, loop, "round 0")
                 loops, steps = [loop], [step]
                 for q in range(num_rounds):
                     one_round = delivered[:, q : q + 1, :]
-                    loop = _loop_advance_rounds(topology, one_round, loop, rfire_gated)
-                    step = vectorized._advance_rounds(
-                        plan, one_round, step, rfire_gated
-                    )
+                    loop = _loop_advance_rounds(topology, one_round, loop, spec)
+                    step = vectorized._advance_rounds(plan, one_round, step, spec)
                     _assert_same_state(step, loop, f"round {q + 1}")
                     loops.append(loop)
                     steps.append(step)
                 # All rounds in one call, and the public history.
-                whole = vectorized._advance_rounds(
-                    plan, delivered, steps[0], rfire_gated
-                )
+                whole = vectorized._advance_rounds(plan, delivered, steps[0], spec)
                 _assert_same_state(whole, loops[-1], "one call")
                 history = vectorized.simulate_counting_history(
-                    topology, delivered, inputs, rfire_gated, coordinator
+                    topology, delivered, inputs, spec
                 )
                 for q, state in enumerate(history):
                     _assert_same_state(state, loops[q], f"history {q}")
@@ -390,12 +441,8 @@ class TestRoundStepOracle:
                     suffix, _ = _random_batch(
                         rng, topology, lanes, num_rounds - q
                     )
-                    resumed = vectorized._advance_rounds(
-                        plan, suffix, steps[q], rfire_gated
-                    )
-                    expected = _loop_advance_rounds(
-                        topology, suffix, loops[q], rfire_gated
-                    )
+                    resumed = vectorized._advance_rounds(plan, suffix, steps[q], spec)
+                    expected = _loop_advance_rounds(topology, suffix, loops[q], spec)
                     _assert_same_state(resumed, expected, f"resumed at {q}")
                     _assert_same_state(steps[q], loops[q], f"input of {q}")
 
@@ -405,16 +452,16 @@ class TestRoundStepOracle:
         rng = np.random.default_rng(8)
         delivered, inputs = _random_batch(rng, topology, 1, 4)
         history = vectorized.simulate_counting_history(
-            topology, delivered, inputs, True
+            topology, delivered, inputs, S_SPEC
         )
         suffix, _ = _random_batch(rng, topology, 7, 2)
         resumed = vectorized._advance_rounds(
-            plan, suffix, history[2].tiled(7), True
+            plan, suffix, history[2].tiled(7), S_SPEC
         )
-        loop = _loop_initial_state(topology, inputs, True, 1)
-        loop = _loop_advance_rounds(topology, delivered[:, :2, :], loop, True)
+        loop = _loop_initial_state(topology, inputs, S_SPEC)
+        loop = _loop_advance_rounds(topology, delivered[:, :2, :], loop, S_SPEC)
         tiled = tuple(np.repeat(array, 7, axis=0) for array in loop)
-        expected = _loop_advance_rounds(topology, suffix, tiled, True)
+        expected = _loop_advance_rounds(topology, suffix, tiled, S_SPEC)
         _assert_same_state(resumed, expected, "tiled resume")
         with pytest.raises(ValueError, match="single-run"):
             resumed.tiled(2)
@@ -441,12 +488,6 @@ class TestNeighborBatch:
     @pytest.mark.parametrize("num_rounds", [1, 2, 4])
     def test_every_neighbor_equals_reference(self, num_rounds):
         rng = random.Random(num_rounds)
-        protocols = [
-            ProtocolS(epsilon=0.25),
-            ProtocolS(epsilon=1.0 / num_rounds),
-            ProtocolW(1),
-            ProtocolW(max(1, num_rounds // 2)),
-        ]
         checked = 0
         for topology in _neighbor_topologies():
             layout = layout_for(topology, num_rounds)
@@ -454,7 +495,7 @@ class TestNeighborBatch:
                 PackedRun(layout, (1 << layout.num_bits) - 1),
                 PackedRun(layout, rng.getrandbits(layout.num_bits)),
             ]
-            for protocol in protocols:
+            for protocol in _protocols_for(num_rounds, topology.num_processes):
                 for parent in parents:
                     neighborhood, by_bit = vectorized.evaluate_neighbor_batch(
                         protocol, topology, parent
@@ -525,7 +566,7 @@ class TestLemma64:
                 topology, num_rounds, runs
             )
             counts, _ = vectorized.simulate_counting_batch(
-                topology, delivered, inputs, rfire_gated=False
+                topology, delivered, inputs, ProtocolW(1).counting_spec
             )
             for lane, run in enumerate(runs):
                 levels = level_profile(run, m)
@@ -533,8 +574,9 @@ class TestLemma64:
                     levels.final_level(i) for i in topology.processes
                 ], (run, "L")
             for coordinator in (1, m):
+                spec = ProtocolS(epsilon=0.25, coordinator=coordinator).counting_spec
                 counts, rknown = vectorized.simulate_counting_batch(
-                    topology, delivered, inputs, True, coordinator
+                    topology, delivered, inputs, spec
                 )
                 masked = np.where(rknown, counts, 0)
                 for lane, run in enumerate(runs):

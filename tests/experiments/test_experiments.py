@@ -32,3 +32,14 @@ def test_reports_are_deterministic():
     first = run_experiment("E1", QUICK).render()
     second = run_experiment("E1", QUICK).render()
     assert first == second
+
+
+@pytest.mark.parametrize("experiment_id", ["E6", "E13"])
+def test_counting_variants_run_on_the_kernel(experiment_id):
+    # E6 and E13 evaluate only Figure 1 protocols (S and the variants
+    # that configure its counting spec), so under the vectorized
+    # backend no run reaches the reference simulator.
+    config = Config(scale="quick", seed=0, backend="vectorized")
+    report = run_experiment(experiment_id, config)
+    assert report.passed, report.render()
+    assert config.engine().stats.reference_evaluations == 0

@@ -8,28 +8,23 @@ from repro.core.measures import modified_level_profile
 from repro.core.probability import evaluate, monte_carlo_probabilities
 from repro.core.run import good_run, random_run, silent_run
 from repro.core.topology import Topology
-from repro.protocols.ablations import (
-    NaiveCountingS,
-    SkewedS,
-    threshold_probabilities_with_cdf,
-)
+from repro.protocols.ablations import NaiveCountingS, SkewedS
+from repro.protocols.counting import RfireLaw, threshold_probabilities
 from repro.protocols.protocol_s import ProtocolS
 
 
 class TestCdfHelper:
     def test_uniform_cdf_matches_basic_helper(self):
-        from repro.protocols.variants import rfire_threshold_probabilities
+        from .legacy_closed_forms import rfire_threshold_probabilities
 
-        thresholds = [3.0, 2.0]
+        thresholds = [3, 2]
         t = 8.0
-        general = threshold_probabilities_with_cdf(
-            thresholds, lambda c: min(1.0, c / t)
-        )
-        specific = rfire_threshold_probabilities(thresholds, t)
+        general = threshold_probabilities(thresholds, RfireLaw("uniform", t))
+        specific = rfire_threshold_probabilities([3.0, 2.0], t)
         assert general.agrees_with(specific, tolerance=1e-12)
 
     def test_degenerate_cdf(self):
-        result = threshold_probabilities_with_cdf([0.0, 5.0], lambda c: 1.0 if c > 0 else 0.0)
+        result = threshold_probabilities([0, 5], RfireLaw("step", 1))
         assert result.pr_partial_attack == 1.0
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the shared Figure 1 counting machine."""
 
-import pytest
-
 from repro.core.execution import execute
 from repro.core.measures import modified_level_profile
 from repro.core.run import Run, good_run, random_run, silent_run
@@ -9,13 +7,19 @@ from repro.core.topology import Topology
 from repro.protocols.counting import CountingLocal, CountingState
 from repro.protocols.invariants import check_counts_equal_level
 from repro.protocols.protocol_s import ProtocolS
+from repro.protocols.variants import EagerS
 from repro.protocols.weak_adversary import ProtocolW
+
+# Protocol S's rfire-gated machine and the valid-gated one (EagerS's:
+# same coordinator, no rfire gate).
+S_SPEC = ProtocolS(epsilon=0.25).counting_spec
+VALID_SPEC = EagerS(epsilon=0.25).counting_spec
 
 
 class TestInitialStates:
-    def _local(self, rfire_gated=True):
+    def _local(self, spec=S_SPEC):
         return CountingLocal(
-            process=1, all_processes=frozenset([1, 2]), rfire_gated=rfire_gated
+            process=1, all_processes=frozenset([1, 2]), spec=spec
         )
 
     def test_coordinator_with_input_starts_counting(self):
@@ -30,7 +34,7 @@ class TestInitialStates:
 
     def test_non_coordinator_has_undefined_rfire(self):
         local = CountingLocal(
-            process=2, all_processes=frozenset([1, 2]), rfire_gated=True
+            process=2, all_processes=frozenset([1, 2]), spec=S_SPEC
         )
         state = local.initial_state(True, None)
         assert state.rfire is None
@@ -38,7 +42,7 @@ class TestInitialStates:
 
     def test_valid_gated_counts_without_rfire(self):
         local = CountingLocal(
-            process=2, all_processes=frozenset([1, 2]), rfire_gated=False
+            process=2, all_processes=frozenset([1, 2]), spec=VALID_SPEC
         )
         state = local.initial_state(True, None)
         assert state.count == 1
@@ -48,7 +52,7 @@ class TestInitialStates:
 class TestMessageGeneration:
     def test_sends_full_state_every_round(self):
         local = CountingLocal(
-            process=1, all_processes=frozenset([1, 2]), rfire_gated=True
+            process=1, all_processes=frozenset([1, 2]), spec=S_SPEC
         )
         state = local.initial_state(True, 2.0)
         message = local.message(state, neighbor=2)
@@ -93,12 +97,16 @@ class TestCountingDynamics:
             for state in execution.local(process).states:
                 assert state.seen != frozenset([1, 2])
 
-    def test_output_not_implemented_on_base(self):
+    def test_output_reads_the_spec(self):
+        # S attacks iff count >= rfire; W (no rfire) iff count >= K.
         local = CountingLocal(
-            process=1, all_processes=frozenset([1, 2]), rfire_gated=True
+            process=1, all_processes=frozenset([1, 2]), spec=S_SPEC
         )
-        with pytest.raises(NotImplementedError):
-            local.output(local.initial_state(True, 1.0))
+        assert local.output(local.initial_state(True, 1.0))
+        assert not local.output(local.initial_state(True, 1.5))
+        w_local = ProtocolW(threshold=2).local_protocol(1, Topology.pair())
+        assert not w_local.output(CountingState(1, None, frozenset([1]), True))
+        assert w_local.output(CountingState(2, None, frozenset([1]), True))
 
 
 class TestLargerGraphs:

@@ -19,9 +19,11 @@ from repro.protocols.invariants import (
     check_counts_equal_modified_level,
     check_invariants,
 )
+from repro.protocols.protocol_s import ProtocolS
 
 PAIR = Topology.pair()
 PATH3 = Topology.path(3)
+_S_SPEC = ProtocolS(epsilon=0.25).counting_spec
 
 
 class _SOutput:
@@ -91,7 +93,7 @@ class _MutantProtocol(ClosedFormProtocol):
         local = self.local_class(
             process=process,
             all_processes=frozenset(topology.processes),
-            rfire_gated=True,
+            spec=_S_SPEC,
         )
         return local
 

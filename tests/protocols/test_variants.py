@@ -10,28 +10,24 @@ from repro.core.probability import (
     monte_carlo_probabilities,
 )
 from repro.core.run import Run, good_run, silent_run
-from repro.protocols.variants import (
-    EagerS,
-    GreedyS,
-    XorCoin,
-    rfire_threshold_probabilities,
-)
+from repro.protocols.counting import RfireLaw, threshold_probabilities
+from repro.protocols.variants import EagerS, GreedyS, XorCoin
 
 
 class TestThresholdHelper:
     def test_basic_shape(self):
-        result = rfire_threshold_probabilities([2.0, 1.0], t=4.0)
+        result = threshold_probabilities([2, 1], RfireLaw("uniform", 4.0))
         assert result.pr_total_attack == pytest.approx(0.25)
         assert result.pr_no_attack == pytest.approx(0.5)
         assert result.pr_partial_attack == pytest.approx(0.25)
         assert result.pr_attack == (0.5, 0.25)
 
     def test_zero_thresholds(self):
-        result = rfire_threshold_probabilities([0.0, 0.0], t=4.0)
+        result = threshold_probabilities([0, 0], RfireLaw("uniform", 4.0))
         assert result.pr_no_attack == 1.0
 
     def test_saturation(self):
-        result = rfire_threshold_probabilities([9.0, 9.0], t=4.0)
+        result = threshold_probabilities([9, 9], RfireLaw("uniform", 4.0))
         assert result.pr_total_attack == 1.0
 
 

@@ -39,6 +39,7 @@ def check_fixture(name):
         ("rc006_service_bad.py", "RC006", [8, 14]),
         ("rc007_spawn_bad.py", "RC007", [6, 16, 18, 18]),
         ("rc008_shared_bad.py", "RC008", [12]),
+        ("rc006_super_bad.py", "RC006", [7]),
     ],
 )
 def test_bad_fixture_trips_rule(name, rule_id, lines):
