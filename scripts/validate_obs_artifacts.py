@@ -16,9 +16,9 @@ the embedded metrics snapshot, and — when present — the ``tracing``
 overhead block) from DESIGN.md §10 and §12, the ``--bench-e17``
 artifact (the m-scaling curve at 10^3..10^6 processes with the
 Theorem 6.8 floor and per-point wall budget, plus the mean-field
-envelope coverage block) from DESIGN.md §15, and ``--audit`` request
-audit logs (per-file meta line, span record shape, known stages) from
-DESIGN.md §12.  Exits
+envelope coverage block) from DESIGN.md §15, and the ``--audit``
+request audit log, which is the trace schema again (DESIGN.md §12),
+checked by the same function as ``--trace``.  Exits
 non-zero with a message per violation — CI runs this against the
 artifacts it uploads so schema drift fails the build instead of
 silently shipping.
@@ -35,81 +35,103 @@ TRACE_SCHEMA_VERSION = 1
 METRICS_SCHEMA_VERSION = 1
 BENCH_SERVE_SCHEMA_VERSION = 5
 BENCH_E17_SCHEMA_VERSION = 3
-AUDIT_SCHEMA_VERSION = 1
+
+#: The audit log's file name under ``--audit-dir`` (one ``.1`` backup).
+AUDIT_FILE = "audit-server.jsonl"
 
 #: The m-scaling grid BENCH_e17.json must cover, and the per-point
 #: single-core wall budget (E17's acceptance criterion).
 BENCH_E17_GRID = (10**3, 10**4, 10**5, 10**6)
 BENCH_E17_WALL_BUDGET_SECONDS = 60.0
 
-AUDIT_STAGES = {
-    "admission",
-    "batch",
-    "engine",
-    "worker",
-    "response",
-}
-
 
 def _fail(errors, message):
     errors.append(message)
 
 
-def validate_trace(path: str, errors: list) -> int:
-    """Validate a span-trace JSONL file; returns the span count."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle if line.strip()]
-    if not lines:
-        _fail(errors, f"{path}: empty trace file")
-        return 0
-    meta = json.loads(lines[0])
-    if meta.get("kind") != "meta":
-        _fail(errors, f"{path}: first line must be the meta record")
-    if meta.get("schema_version") != TRACE_SCHEMA_VERSION:
-        _fail(
-            errors,
-            f"{path}: schema_version {meta.get('schema_version')!r}, "
-            f"expected {TRACE_SCHEMA_VERSION}",
-        )
-    if meta.get("clock") != "perf_counter" or meta.get("unit") != "seconds":
-        _fail(errors, f"{path}: unexpected clock/unit in meta: {meta}")
+def validate_trace(paths, errors: list) -> int:
+    """Validate span JSONL files; returns the span count.
+
+    ``paths`` is one ``--trace`` export, or the generations of one
+    audit log, oldest first.  Each file opens with the meta line; an
+    audit log's names its ``run`` and may end in a torn line (a process
+    killed mid-append).  A span is known by its run and its id, and
+    every parent a span names must be a span of its run in one of the
+    files.
+    """
     span_ids = set()
+    parents = []
     spans = 0
-    records = [json.loads(line) for line in lines[1:]]
-    for record in records:
-        kind = record.get("kind")
-        if kind not in ("span", "event"):
-            _fail(errors, f"{path}: unknown record kind {kind!r}")
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line for line in handle if line.strip()]
+        if not lines:
+            _fail(errors, f"{path}: empty trace file")
             continue
-        if kind == "event":
-            if "name" not in record or "time" not in record:
-                _fail(errors, f"{path}: malformed event: {record}")
-            continue
-        spans += 1
-        for field in ("span_id", "name", "start", "end", "duration", "depth"):
-            if field not in record:
+        meta = json.loads(lines[0])
+        if meta.get("kind") != "meta":
+            _fail(errors, f"{path}: first line must be the meta record")
+        if meta.get("schema_version") != TRACE_SCHEMA_VERSION:
+            _fail(
+                errors,
+                f"{path}: schema_version {meta.get('schema_version')!r}, "
+                f"expected {TRACE_SCHEMA_VERSION}",
+            )
+        if meta.get("clock") != "perf_counter" or meta.get("unit") != "seconds":
+            _fail(errors, f"{path}: unexpected clock/unit in meta: {meta}")
+        run = meta.get("run")
+        if "run" in meta and not (isinstance(run, str) and run):
+            _fail(errors, f"{path}: meta 'run' must be a non-empty string")
+        for position, line in enumerate(lines[1:], start=2):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                if run is not None and position == len(lines):
+                    continue  # torn tail write
+                _fail(errors, f"{path}:{position}: malformed JSON")
+                continue
+            kind = record.get("kind")
+            if kind not in ("span", "event"):
+                _fail(errors, f"{path}: unknown record kind {kind!r}")
+                continue
+            if kind == "event":
+                if "name" not in record or "time" not in record:
+                    _fail(errors, f"{path}: malformed event: {record}")
+                continue
+            spans += 1
+            for field in (
+                "span_id", "name", "start", "end", "duration", "depth"
+            ):
+                if field not in record:
+                    _fail(
+                        errors,
+                        f"{path}: span missing {field!r}: {record.get('name')}",
+                    )
+            if not isinstance(record.get("attributes"), dict):
                 _fail(
                     errors,
-                    f"{path}: span missing {field!r}: {record.get('name')}",
+                    f"{path}: span {record.get('name')!r} without an "
+                    "attributes mapping",
                 )
-        span_ids.add(record.get("span_id"))
-        if record.get("end") is not None and record.get("start") is not None:
-            if record["end"] < record["start"]:
-                _fail(
-                    errors,
-                    f"{path}: span {record.get('name')!r} ends before it "
-                    "starts",
-                )
-    for record in records:
-        parent = record.get("parent_id")
-        if parent is not None and parent not in span_ids:
+            span_ids.add((run, record.get("span_id")))
+            if record.get("end") is not None and record.get("start") is not None:
+                if record["end"] < record["start"]:
+                    _fail(
+                        errors,
+                        f"{path}: span {record.get('name')!r} ends before it "
+                        "starts",
+                    )
+            if record.get("parent_id") is not None:
+                parents.append((path, run, record))
+    for path, run, record in parents:
+        if (run, record["parent_id"]) not in span_ids:
             _fail(
                 errors,
                 f"{path}: record {record.get('name')!r} references "
-                f"unknown parent {parent}",
+                f"unknown parent {record['parent_id']}",
             )
     if spans == 0:
-        _fail(errors, f"{path}: no span records")
+        _fail(errors, f"{', '.join(paths)}: no span records")
     return spans
 
 
@@ -439,80 +461,17 @@ def validate_bench_e17(path: str, errors: list) -> int:
 
 
 def validate_audit_dir(directory: str, errors: list) -> int:
-    """Validate every audit log under ``directory``; returns span count."""
-    base = pathlib.Path(directory)
-    paths = sorted(base.glob("audit-*.jsonl")) + sorted(
-        base.glob("audit-*.jsonl.1")
-    )
+    """Validate the audit log under ``directory``; returns span count."""
+    base = pathlib.Path(directory) / AUDIT_FILE
+    paths = [
+        str(path)
+        for path in (base.with_name(AUDIT_FILE + ".1"), base)
+        if path.exists()
+    ]
     if not paths:
-        _fail(errors, f"{directory}: no audit-*.jsonl files")
+        _fail(errors, f"{directory}: no {AUDIT_FILE}")
         return 0
-    spans = 0
-    for path in paths:
-        spans += _validate_audit_file(str(path), errors)
-    return spans
-
-
-def _validate_audit_file(path: str, errors: list) -> int:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle if line.strip()]
-    if not lines:
-        _fail(errors, f"{path}: empty audit file")
-        return 0
-    meta = json.loads(lines[0])
-    if meta.get("kind") != "meta":
-        _fail(errors, f"{path}: first line must be the meta record")
-    if meta.get("schema_version") != AUDIT_SCHEMA_VERSION:
-        _fail(
-            errors,
-            f"{path}: schema_version {meta.get('schema_version')!r}, "
-            f"expected {AUDIT_SCHEMA_VERSION}",
-        )
-    if meta.get("clock") != "unix-epoch" or meta.get("unit") != "seconds":
-        _fail(errors, f"{path}: unexpected clock/unit in meta: {meta}")
-    process = meta.get("process")
-    if not isinstance(process, str) or not process:
-        _fail(errors, f"{path}: meta missing 'process'")
-    spans = 0
-    for position, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if position == len(lines):
-                continue  # torn tail write is legal; mid-file junk is not
-            _fail(errors, f"{path}:{position}: malformed JSON")
-            continue
-        if record.get("kind") != "span":
-            _fail(
-                errors,
-                f"{path}:{position}: unknown record kind "
-                f"{record.get('kind')!r}",
-            )
-            continue
-        spans += 1
-        stage = record.get("stage")
-        if stage not in AUDIT_STAGES:
-            _fail(errors, f"{path}:{position}: unknown stage {stage!r}")
-        if record.get("process") != process:
-            _fail(
-                errors,
-                f"{path}:{position}: span process "
-                f"{record.get('process')!r} != meta process {process!r}",
-            )
-        for field, kinds in (
-            ("t_start", (int, float)),
-            ("duration", (int, float)),
-            ("attributes", dict),
-        ):
-            if not isinstance(record.get(field), kinds):
-                _fail(errors, f"{path}:{position}: missing/invalid {field!r}")
-        duration = record.get("duration")
-        if isinstance(duration, (int, float)) and duration < 0:
-            _fail(errors, f"{path}:{position}: negative duration")
-        request_id = record.get("request_id")
-        if request_id is not None and not isinstance(request_id, str):
-            _fail(errors, f"{path}:{position}: non-string request_id")
-    return spans
+    return validate_trace(paths, errors)
 
 
 def main(argv=None) -> int:
@@ -544,7 +503,7 @@ def main(argv=None) -> int:
         "--audit",
         default=None,
         metavar="DIR",
-        help="audit-log directory (audit-*.jsonl files) to check",
+        help=f"audit-log directory ({AUDIT_FILE} and its backup) to check",
     )
     args = parser.parse_args(argv)
     if (
@@ -560,7 +519,7 @@ def main(argv=None) -> int:
         )
     errors: list = []
     if args.trace:
-        spans = validate_trace(args.trace, errors)
+        spans = validate_trace([args.trace], errors)
         print(f"{args.trace}: {spans} spans")
     if args.metrics:
         count = validate_metrics(args.metrics, errors)

@@ -677,7 +677,6 @@ def _cmd_audit(args) -> int:
                 {
                     "request_id": tree.request_id,
                     "status": tree.status,
-                    "processes": tree.processes,
                     "missing_stages": missing,
                     "spans": tree.spans,
                 },
@@ -1002,8 +1001,8 @@ def build_parser() -> argparse.ArgumentParser:
     audit = subparsers.add_parser(
         "audit",
         help=(
-            "stitch the audit logs into one request's span tree "
-            "(admission -> batch -> engine -> response)"
+            "stitch the audit log into one request's span tree "
+            "(request, batch -> engine or worker)"
         ),
     )
     audit.add_argument("request_id", help="the request id to reconstruct")
@@ -1020,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--expect-complete",
         action="store_true",
-        help="exit 1 unless every required stage is present",
+        help="exit 1 unless the request span and its execution are present",
     )
     audit.set_defaults(handler=_cmd_audit)
 

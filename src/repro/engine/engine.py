@@ -80,7 +80,7 @@ from ..core.protocol import Protocol
 from ..core.run import Run
 from ..core.topology import Topology
 from ..core.types import Round
-from ..obs import MetricsRegistry, Obs, get_obs
+from ..obs import NULL_SPAN, AnySpan, MetricsRegistry, Obs, get_obs
 from ..obs.runtime import monotonic
 from .cache import EngineCache, InProcessCache
 
@@ -273,16 +273,6 @@ class Engine:
     cache_size: int = DEFAULT_CACHE_SIZE
     obs: Optional[Obs] = None
     cache: Optional[EngineCache] = field(default=None, repr=False)
-    #: Optional audit hook fired after each timed evaluation with
-    #: ``(operation, duration_seconds, attributes)``.  The serving
-    #: tier installs one that appends an audit span record (joined to
-    #: the executing micro-batch via the engine thread's batch
-    #: context), giving every stitched request tree cache hit/miss
-    #: provenance without the engine knowing about audit logs.  Runs
-    #: on the evaluating thread; must be cheap and must not raise.
-    span_hook: Optional[Callable[[str, float, Dict[str, Any]], None]] = field(
-        default=None, repr=False
-    )
     #: Read view over this engine's metrics, built on construction.
     stats: EngineStats = field(init=False, repr=False)
 
@@ -505,25 +495,20 @@ class Engine:
             yield span
 
     @contextmanager
-    def _timed(self, operation: str, runs: int, misses: int) -> Iterator[None]:
-        """Time one call's backend work and report it to ``span_hook``.
+    def _timed(self, span: AnySpan, runs: int, misses: int) -> Iterator[None]:
+        """Time one call's backend work; put its cache split on ``span``.
 
         A call whose runs were all cache hits did no backend work: it
-        is reported with a zero duration and adds no latency sample.
+        adds no wall time and no latency sample.
         """
         started = monotonic()
         yield
-        elapsed = 0.0
         if misses:
             elapsed = monotonic() - started
             self._wall_counter.value += elapsed
             self._latency_histogram.observe(elapsed)
-        if self.span_hook is not None:
-            self.span_hook(
-                operation,
-                elapsed,
-                {"runs": runs, "cache_hits": runs - misses, "cache_misses": misses},
-            )
+        if span is not NULL_SPAN:
+            span.set(cache_hits=runs - misses, cache_misses=misses)
 
     # -- evaluation ----------------------------------------------------
 
@@ -693,7 +678,7 @@ class Engine:
                 route = self._route(protocol, topology, method, size)
                 if route == "vectorized":
                     span.set(backend=route)
-                    with self._timed(operation, size, size):
+                    with self._timed(span, size, size):
                         from . import vectorized
 
                         if isinstance(runs, RunBatch):
@@ -712,7 +697,7 @@ class Engine:
             if route is None:
                 route = self._route(protocol, topology, method, len(pending))
             span.set(backend=route)
-            with self._timed(operation, size, len(pending)):
+            with self._timed(span, size, len(pending)):
                 if route == "vectorized":
                     self._kernel(protocol, topology, rows, pending, results)
                 else:
@@ -811,7 +796,7 @@ class Engine:
             "engine.evaluate_scaled",
             protocol=protocol.name,
             num_processes=spec.num_processes,
-        ):
+        ) as span:
             self._runs_counter.value += 1
             key = self.counter_cache_key(protocol, spec)
             if key is not None:
@@ -820,7 +805,7 @@ class Engine:
                     self._hit_counter.value += 1
                     return cached
                 self._miss_counter.value += 1
-            with self._timed("engine.evaluate_scaled", runs=1, misses=1):
+            with self._timed(span, runs=1, misses=1):
                 result = evaluate_spec(protocol, spec)
                 self._meanfield_counter.value += 1
             if key is not None:
@@ -884,11 +869,11 @@ class Engine:
             protocol=protocol_name,
             samples=samples,
             num_rounds=num_rounds,
-        ):
+        ) as span:
             self._runs_counter.inc(samples)
             self._vectorized_counter.inc(samples)
             self._mc_trials_counter.inc(samples)
-            with self._timed("engine.pair_weak_estimate", samples, samples):
+            with self._timed(span, samples, samples):
                 return estimate()
 
 

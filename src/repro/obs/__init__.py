@@ -8,14 +8,15 @@ question in the reproduction:
   JSON export.  Always on: the evaluation engine's ``EngineStats``
   is a thin view over one of these.
 * :mod:`repro.obs.tracing` — a span :class:`Tracer` (context-manager
-  API, monotonic clocks, parent/child nesting, JSONL export).  Off by
-  default; disabled call sites hit a shared no-op singleton.
+  API, monotonic clocks, parent/child nesting per task and thread,
+  JSONL export).  Off by default; disabled call sites outside a
+  sampled tree hit a shared no-op singleton.
 * :mod:`repro.obs.exec_trace` — opt-in per-round protocol events:
   messages delivered/cut, ``L_i^r`` / ``ML_i^r`` progression, fire
   decisions vs ``rfire``.
 * :mod:`repro.obs.audit` — per-request audit trails for the serving
-  tier: :class:`TraceContext` propagation, per-process JSONL span
-  logs (:class:`AuditLogger`), and the stitching behind
+  tier: :class:`TraceContext` sampling, the span log that sampled
+  trees sink into (:class:`AuditLogger`), and the stitching behind
   ``repro audit <request_id>``.
 * :mod:`repro.obs.runtime` — the process-wide :class:`Obs` bundle and
   the ``repro.*`` logging hierarchy.
@@ -36,6 +37,7 @@ from .metrics import (
 from .tracing import (
     NULL_SPAN,
     TRACE_SCHEMA_VERSION,
+    AnySpan,
     Event,
     Span,
     Tracer,
@@ -43,7 +45,6 @@ from .tracing import (
 )
 from .exec_trace import trace_execution
 from .audit import (
-    AUDIT_SCHEMA_VERSION,
     REQUEST_ID_HEADER,
     AuditLogger,
     RequestTree,
@@ -65,11 +66,10 @@ from .runtime import (
     set_obs,
     setup_logging,
     utc_now_isoformat,
-    utc_now_timestamp,
 )
 
 __all__ = [
-    "AUDIT_SCHEMA_VERSION",
+    "AnySpan",
     "AuditLogger",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
@@ -102,5 +102,4 @@ __all__ = [
     "stitch_request",
     "trace_execution",
     "utc_now_isoformat",
-    "utc_now_timestamp",
 ]

@@ -55,20 +55,6 @@ def utc_now_isoformat() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def utc_now_timestamp() -> float:
-    """The current wall-clock instant as epoch seconds (UTC).
-
-    The audit trail's ordering key: span records written by the event
-    loop, the engine thread and the worker tier are stitched into one
-    request tree by wall-clock start time, which a per-process
-    :func:`monotonic` epoch cannot provide.  Like
-    :func:`utc_now_isoformat` this is a sanctioned escape hatch from
-    rule RC002 — use it for *ordering and stamping only*, never for
-    durations (those stay on :func:`monotonic`).
-    """
-    return time.time()
-
-
 #: Surfaces that are *deliberately* written from more than one
 #: execution context (event loop, engine/default-executor threads) and
 #: carry their own synchronization.  The static analyzer's RC008
@@ -87,9 +73,9 @@ SYNCHRONIZED_QUALNAMES = (
     # Ring buffer + counters guarded by AuditLogger._lock; JSONL
     # persistence is owned by the single background writer thread.
     "repro.obs.audit.AuditLogger",
-    # Span records/ids guarded by Tracer._lock; the open-span stack is
-    # per-thread state (threading.local) so loop and engine threads
-    # cannot corrupt each other's parent attribution.
+    # Span records/ids guarded by Tracer._lock; the open span is a
+    # context variable, so tasks and threads never adopt each other's
+    # parent.
     "repro.obs.tracing.Tracer",
     # The engine's busy-guard: cache/RNG mutation is confined to the
     # single engine-executor thread, and cross-context admin calls

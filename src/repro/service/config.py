@@ -16,7 +16,7 @@ from ..engine import BACKENDS, DEFAULT_CACHE_SIZE
 
 DEFAULT_PORT = 8642
 
-#: Default size-based rotation threshold for per-process audit logs.
+#: Default size-based rotation threshold for the audit log.
 DEFAULT_AUDIT_MAX_BYTES = 4 * 1024 * 1024
 
 #: Default in-memory ring-buffer depth behind ``/v1/debug/requests``.
@@ -46,12 +46,12 @@ class ServiceConfig:
     deterministically.  Never enable it on a real deployment.
 
     ``audit_dir`` enables a persistent request audit trail: the
-    server appends span records to ``audit-server.jsonl`` under the
-    directory, rotated once it passes ``audit_max_bytes`` (one ``.1``
-    backup is kept).  ``repro audit <request_id>`` stitches the
-    records into one request tree.  With no directory, the in-memory
-    ring of the last ``audit_ring`` records behind
-    ``GET /v1/debug/requests`` still works.  ``trace_sample_rate``
+    server appends the spans of sampled requests to
+    ``audit-server.jsonl`` under the directory, rotated once it passes
+    ``audit_max_bytes`` (one ``.1`` backup is kept).  ``repro audit
+    <request_id>`` stitches them into one request tree.  With no
+    directory, the in-memory ring of the last ``audit_ring`` spans
+    behind ``GET /v1/debug/requests`` still works.  ``trace_sample_rate``
     picks which requests are audited — the decision is a
     deterministic hash of the request id, and client-supplied
     ``X-Repro-Request-Id`` values are always sampled.  Requests slower

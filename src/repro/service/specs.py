@@ -70,7 +70,8 @@ MAX_TRIALS = 20_000
 #: and :data:`MAX_TRIALS` trials.
 MAX_MONTE_CARLO_WORK = 4_800_000
 
-#: How many parsed topologies :func:`_topology` keeps.
+#: How many parsed topologies :func:`_topology` keeps, and parsed
+#: protocols :func:`_protocol` keeps.
 TOPOLOGY_CACHE_SIZE = 32
 
 
@@ -217,10 +218,8 @@ def _parse_scaled_payload(
         raise RequestError(
             f"bad process count in topology {topology_spec!r}: {error}"
         ) from error
-    from ..cli import parse_protocol
-
     try:
-        protocol = parse_protocol(protocol_spec, rounds)
+        protocol = _protocol(protocol_spec, rounds)
     except ValueError as error:
         raise RequestError(str(error)) from error
     if type(protocol) not in (ProtocolS, ProtocolW, ProtocolM):
@@ -255,6 +254,15 @@ def _topology(spec: str) -> Topology:
     from ..cli import parse_topology
 
     return parse_topology(spec)
+
+
+@lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
+def _protocol(spec: str, rounds: int) -> Protocol:
+    """One shared protocol per ``(spec, rounds)``: memo-cache keys hold
+    it, and every protocol the parser returns is frozen."""
+    from ..cli import parse_protocol
+
+    return parse_protocol(spec, rounds)
 
 
 def _field(payload: Dict[str, Any], name: str, kind: type, default: Any) -> Any:
@@ -341,7 +349,7 @@ def parse_evaluate_payload(
     # The CLI's parsers are the single source of truth for the
     # mini-language; SpecError subclasses ValueError, so both spec and
     # structural failures surface as RequestError to the HTTP layer.
-    from ..cli import parse_protocol, parse_run, topology_size
+    from ..cli import parse_run, topology_size
 
     try:
         num_processes = topology_size(topology_spec)
@@ -356,7 +364,7 @@ def parse_evaluate_payload(
         )
     try:
         topology = _topology(topology_spec)
-        protocol = parse_protocol(protocol_spec, rounds)
+        protocol = _protocol(protocol_spec, rounds)
         run = parse_run(run_spec, topology, rounds)
     except ValueError as error:
         raise RequestError(str(error)) from error

@@ -154,8 +154,8 @@ class FunctionInfo:
     state_reads: List[str] = field(default_factory=list)
     state_writes: List[Tuple[str, int]] = field(default_factory=list)
     attr_writes: List[Tuple[str, int]] = field(default_factory=list)
-    # Writes through a typed receiver: ``self.engine.span_hook = ...``
-    # becomes ("repro.engine.engine.Engine", "span_hook", line).
+    # Writes through a typed receiver: ``self.engine.backend = ...``
+    # becomes ("repro.engine.engine.Engine", "backend", line).
     ext_writes: List[Tuple[str, str, int]] = field(default_factory=list)
 
 
@@ -626,7 +626,7 @@ class _FunctionBody:
                 # Store through self.attr (possibly deeper); the written
                 # surface is the first attribute unless the receiver is
                 # itself typed, in which case the write lands on that
-                # class (``self.engine.span_hook = ...``).
+                # class (``self.engine.backend = ...``).
                 if len(chain) >= 3:
                     receiver_type = self._self_attr_type(chain[1])
                     if receiver_type is not None:

@@ -14,10 +14,10 @@ on a wall clock; its one legitimate wall-clock need — stamping
 ``BENCH_serve.json`` — routes through
 :func:`repro.obs.runtime.utc_now_isoformat`.
 
-``repro.obs.audit`` is individually in scope as well: audit records
-cross process boundaries, so their span durations must be monotonic
-and their wall-clock start stamps must come from the sanctioned
-:func:`repro.obs.runtime.utc_now_timestamp` escape hatch — not ad-hoc
+``repro.obs.audit`` is individually in scope as well: its span
+records are timed by the tracer's monotonic clock, and any wall-clock
+stamp it needs must come from the sanctioned
+:func:`repro.obs.runtime.utc_now_isoformat` escape hatch — not ad-hoc
 ``time.time()`` calls scattered through the module.  The rest of
 ``obs/`` stays exempt: ``obs/runtime.py`` *is* the clock facade.
 """
@@ -33,7 +33,7 @@ from .base import FileContext, Rule, Violation, register
 SCOPED_SUBPACKAGES = frozenset({"engine", "protocols", "adversary", "service"})
 
 #: Individually scoped modules outside those subpackages.  The audit
-#: module writes cross-process timestamps, so it is held to the
+#: log is the serving tier's record of time, so it is held to the
 #: ``obs.runtime`` clock facade even though ``obs/`` at large (which
 #: contains that facade) cannot be.
 SCOPED_MODULES = frozenset({"repro.obs.audit"})

@@ -1,30 +1,23 @@
-"""Audit trails: trace contexts, the JSONL logger, and stitching.
+"""Audit trails: trace contexts, the span log, and stitching.
 
 Covers the three layers DESIGN.md §12 documents: the deterministic
 sampling verdict and what request headers may (the id) and may not
-(the verdict) decide, the per-process logger under concurrent writers
-(threads through one logger, spawn processes into one directory)
-including size rotation, and the order-independence of
-:func:`stitch_request` — records stitch into the same tree no matter
-which order they are read in.
+(the verdict) decide, the logger as the tracer's sink under
+concurrent writers including size rotation and restarts, and
+:func:`stitch_request` — spans join by parent link within one run,
+into the same tree whatever order they are read in.
 """
 
 import itertools
 import json
-import multiprocessing
-import os
 import threading
 
 import pytest
 
+import repro.obs.audit as audit_module
+from repro.obs import TRACE_SCHEMA_VERSION, Span, Tracer
 from repro.obs.audit import (
-    ADMISSION_STAGE,
-    AUDIT_SCHEMA_VERSION,
-    BATCH_STAGE,
-    ENGINE_STAGE,
     REQUEST_ID_HEADER,
-    RESPONSE_STAGE,
-    WORKER_STAGE,
     AuditLogger,
     TraceContext,
     audit_log_path,
@@ -111,45 +104,68 @@ class TestTraceContext:
 # -- the logger --------------------------------------------------------
 
 
+def closed_span(span_id, name="engine.evaluate", **attributes):
+    """A finished span as the tracer hands it to its sink."""
+    return Span(
+        name=name,
+        span_id=span_id,
+        parent_id=None,
+        depth=0,
+        start=0.5,
+        end=0.75,
+        attributes=attributes,
+    )
+
+
 class TestAuditLogger:
     def test_meta_line_then_spans(self, tmp_path):
         path = tmp_path / "audit-server.jsonl"
-        logger = AuditLogger(path=str(path), process="server")
-        logger.record(ADMISSION_STAGE, "r1", 0.0, admitted=True)
+        logger = AuditLogger(path=str(path))
+        logger.record(closed_span(1, "service.request", request_id="r1"))
         logger.flush()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines[0] == {
             "kind": "meta",
-            "schema_version": AUDIT_SCHEMA_VERSION,
-            "process": "server",
-            "clock": "unix-epoch",
+            "schema_version": TRACE_SCHEMA_VERSION,
+            "clock": "perf_counter",
             "unit": "seconds",
+            "run": logger.run_id,
         }
         (span,) = lines[1:]
-        assert span["kind"] == "span"
-        assert span["request_id"] == "r1"
-        assert span["stage"] == ADMISSION_STAGE
-        assert span["attributes"] == {"admitted": True}
-        assert isinstance(span["t_start"], float)
-
-    def test_explicit_t_start_honored(self, tmp_path):
-        logger = AuditLogger(
-            path=str(tmp_path / "audit-s.jsonl"), process="s"
-        )
-        entry = logger.record(ENGINE_STAGE, "r1", 0.25, t_start=123.5)
-        assert entry["t_start"] == 123.5
+        assert span == {
+            "kind": "span",
+            "span_id": 1,
+            "parent_id": None,
+            "name": "service.request",
+            "start": 0.5,
+            "end": 0.75,
+            "duration": 0.25,
+            "depth": 0,
+            "attributes": {"request_id": "r1"},
+        }
 
     def test_ring_without_persistence(self):
-        logger = AuditLogger(path=None, process="server", ring_size=4)
+        logger = AuditLogger(path=None, ring_size=4)
         for index in range(6):
-            logger.record(RESPONSE_STAGE, f"r{index}", 0.0)
+            logger.record(closed_span(index))
         recent = logger.recent()
-        assert [r["request_id"] for r in recent] == ["r2", "r3", "r4", "r5"]
-        assert [r["request_id"] for r in logger.recent(limit=2)] == [
-            "r4",
-            "r5",
-        ]
+        assert [r["span_id"] for r in recent] == [2, 3, 4, 5]
+        assert [r["span_id"] for r in logger.recent(limit=2)] == [4, 5]
         assert logger.records_written == 6
+
+    def test_ring_only_logger_encodes_nothing(self, monkeypatch):
+        """Without a file, recording is a ring append: no JSON at all."""
+
+        class NoJson:
+            @staticmethod
+            def dumps(*args, **kwargs):
+                raise AssertionError("a ring-only logger encoded a span")
+
+        logger = AuditLogger(path=None)
+        monkeypatch.setattr(audit_module, "json", NoJson)
+        for index in range(8):
+            logger.record(closed_span(index, runs=index))
+        assert logger.records_written == 8
 
     def test_rejects_tiny_max_bytes(self, tmp_path):
         with pytest.raises(ValueError):
@@ -159,16 +175,12 @@ class TestAuditLogger:
         """Many threads through one logger: rotation must never tear a
         line or drop the meta header of either generation."""
         path = tmp_path / "audit-server.jsonl"
-        logger = AuditLogger(
-            path=str(path), process="server", max_bytes=1024
-        )
+        logger = AuditLogger(path=str(path), max_bytes=1024)
         per_thread = 40
 
         def write(worker):
             for index in range(per_thread):
-                logger.record(
-                    BATCH_STAGE, f"w{worker}-r{index}", 0.001, size=index
-                )
+                logger.record(closed_span(worker * per_thread + index, size=index))
 
         threads = [
             threading.Thread(target=write, args=(worker,))
@@ -184,59 +196,53 @@ class TestAuditLogger:
         assert backup.exists(), "expected at least one rotation"
         for generation in (path, backup):
             lines = generation.read_text().splitlines()
-            assert json.loads(lines[0])["kind"] == "meta"
+            assert json.loads(lines[0])["run"] == logger.run_id
             for line in lines[1:]:
                 span = json.loads(line)  # no torn lines
                 assert span["kind"] == "span"
             assert generation.stat().st_size <= 2 * 1024
-
-    def test_spawned_processes_share_a_directory(self, tmp_path):
-        """One audit directory, one file per process — the layout
-        ``load_audit_dir`` reads back."""
-        ctx = multiprocessing.get_context("spawn")
-        workers = [
-            ctx.Process(
-                target=_spawn_writer, args=(str(tmp_path), f"worker{i}", 5)
-            )
-            for i in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-            assert worker.exitcode == 0
-        records = load_audit_dir(str(tmp_path))
-        by_process = {}
-        for record in records:
-            by_process.setdefault(record["process"], []).append(record)
-        assert sorted(by_process) == ["worker0", "worker1"]
-        assert all(len(spans) == 5 for spans in by_process.values())
+        logger.close()
 
     def test_read_tolerates_torn_tail(self, tmp_path):
         path = tmp_path / "audit-server.jsonl"
-        logger = AuditLogger(path=str(path), process="server")
-        logger.record(RESPONSE_STAGE, "r1", 0.0, status=200)
+        logger = AuditLogger(path=str(path))
+        logger.record(closed_span(1, status=200))
         logger.close()
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "span", "request_id": "r2", "trunc')
+            handle.write('{"kind": "span", "span_id": 2, "trunc')
         records = read_audit_log(str(path))
-        assert [r["request_id"] for r in records] == ["r1"]
+        assert [r["span_id"] for r in records] == [1]
+        assert records[0]["run"] == logger.run_id
 
     def test_load_audit_dir_includes_rotated_backup(self, tmp_path):
-        path = audit_log_path(str(tmp_path), "server")
-        logger = AuditLogger(path=path, process="server", max_bytes=1024)
+        path = audit_log_path(str(tmp_path))
+        logger = AuditLogger(path=path, max_bytes=1024)
         total = 64
         for index in range(total):
-            logger.record(ENGINE_STAGE, f"r{index}", 0.001, runs=1)
+            logger.record(closed_span(index, runs=1))
         logger.close()
         live = len(read_audit_log(path))
         assert live < total  # rotation happened
         merged = len(load_audit_dir(str(tmp_path)))
         assert merged > live  # the .1 backup contributed
 
+    def test_restart_keeps_the_previous_log_as_backup(self, tmp_path):
+        """A new logger moves the last run's log aside; both runs load,
+        each tagged with its own run id."""
+        path = audit_log_path(str(tmp_path))
+        first = AuditLogger(path=path)
+        first.record(closed_span(1))
+        first.close()
+        second = AuditLogger(path=path)
+        second.record(closed_span(1))
+        second.close()
+        runs = [record["run"] for record in load_audit_dir(str(tmp_path))]
+        assert runs == [first.run_id, second.run_id]
+        assert first.run_id != second.run_id
+
     def test_audit_log_path_layout(self, tmp_path):
-        assert audit_log_path(str(tmp_path), "server").endswith(
-            os.path.join(str(tmp_path), "audit-server.jsonl")
+        assert audit_log_path(str(tmp_path)) == str(
+            tmp_path / "audit-server.jsonl"
         )
 
     def test_flush_makes_records_durable(self, tmp_path):
@@ -244,144 +250,174 @@ class TestAuditLogger:
         reader of the file — after it returns, every prior record is
         on disk."""
         path = tmp_path / "audit-server.jsonl"
-        logger = AuditLogger(path=str(path), process="server")
+        logger = AuditLogger(path=str(path))
         for index in range(16):
-            logger.record(ENGINE_STAGE, f"r{index}", 0.001)
+            logger.record(closed_span(index))
         logger.flush()
         assert len(read_audit_log(str(path))) == 16
         logger.close()
 
     def test_close_is_idempotent_and_stops_persistence(self, tmp_path):
         path = tmp_path / "audit-server.jsonl"
-        logger = AuditLogger(path=str(path), process="server")
-        logger.record(RESPONSE_STAGE, "r1", 0.0, status=200)
+        logger = AuditLogger(path=str(path))
+        logger.record(closed_span(1))
         logger.close()
         logger.close()  # second close is a no-op
-        assert [r["request_id"] for r in read_audit_log(str(path))] == [
-            "r1"
-        ]
+        assert [r["span_id"] for r in read_audit_log(str(path))] == [1]
         # Post-close records reach the ring but not the file.
-        logger.record(RESPONSE_STAGE, "r2", 0.0, status=200)
-        assert [r["request_id"] for r in logger.recent()] == ["r1", "r2"]
-        assert [r["request_id"] for r in read_audit_log(str(path))] == [
-            "r1"
-        ]
+        logger.record(closed_span(2))
+        assert [r["span_id"] for r in logger.recent()] == [1, 2]
+        assert [r["span_id"] for r in read_audit_log(str(path))] == [1]
 
     def test_flush_and_close_without_persistence(self):
-        logger = AuditLogger(path=None, process="server")
-        logger.record(RESPONSE_STAGE, "r1", 0.0)
+        logger = AuditLogger(path=None)
+        logger.record(closed_span(1))
         logger.flush()  # no-ops, must not raise
         logger.close()
         assert logger.records_written == 1
 
-
-def _spawn_writer(directory, process, count):
-    """Module-level so spawn can pickle it: one child's audit writes."""
-    logger = AuditLogger(
-        path=audit_log_path(directory, process), process=process
-    )
-    for index in range(count):
-        logger.record(WORKER_STAGE, f"{process}-r{index}", 0.001)
-    logger.close()  # drain the writer thread before the child exits
+    def test_sampled_tree_reaches_the_log_from_a_disabled_tracer(
+        self, tmp_path
+    ):
+        """The logger is the tracer's sink: a sampled tree's spans land
+        in the log in the trace schema, and stitch back by parent link."""
+        logger = AuditLogger(path=audit_log_path(str(tmp_path)))
+        tracer = Tracer(enabled=False)
+        with tracer.root("service.request", logger, request_id="r1") as root:
+            root.set(admitted=True, status=200)
+            with tracer.span("service.worker", operation="evaluate"):
+                pass
+        with tracer.root("service.request", None, request_id="r2"):
+            pass  # unsampled: no span at all
+        logger.close()
+        assert tracer.records == []
+        tree = stitch_request(load_audit_dir(str(tmp_path)), "r1")
+        assert tree.names() == ["service.request", "service.worker"]
+        assert tree.spans[1]["parent_id"] == tree.spans[0]["span_id"]
+        assert missing_stages(tree) == []
+        assert stitch_request(load_audit_dir(str(tmp_path)), "r2").spans == []
 
 
 # -- stitching ---------------------------------------------------------
 
 
-def span(process, stage, request_id, t_start, **attributes):
+def span(span_id, name, parent_id=None, start=0.0, run="run-a", **attributes):
     return {
         "kind": "span",
-        "request_id": request_id,
-        "trace_id": request_id,
-        "process": process,
-        "stage": stage,
-        "t_start": t_start,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "name": name,
+        "start": start,
+        "end": start + 0.001,
         "duration": 0.001,
+        "depth": 0 if parent_id is None else 1,
         "attributes": attributes,
+        "run": run,
     }
 
 
 RID = "req-under-test"
 
-#: A full trace of a batch execution, plus records stitching must
-#: *exclude*: another request's spans and an engine span for an
-#: unrelated batch.
+#: A full trace of a batch execution: the request root, and the batch
+#: root listing the request, whose engine child joins by parent link
+#: alone.
 TRACE_RECORDS = [
-    span("server", ADMISSION_STAGE, RID, 100.0, admitted=True),
     span(
-        "server",
-        BATCH_STAGE,
-        None,
-        100.001,
-        batch_id="b1",
-        member_request_ids=[RID, "other-req"],
+        1,
+        "service.request",
+        start=0.0,
+        request_id=RID,
+        admitted=True,
+        inflight=0,
+        queue_limit=64,
+        status=200,
     ),
-    span("server", ENGINE_STAGE, None, 100.002, batch_id="b1", runs=2),
-    span("server", RESPONSE_STAGE, RID, 100.003, status=200),
+    span(
+        3,
+        "service.batch",
+        start=0.001,
+        size=2,
+        member_request_ids=[RID, "other-req"],
+        member_queue_wait_s=[0.0001, 0.0],
+    ),
+    span(4, "engine.evaluate_many", 3, 0.0015, runs=2, cache_misses=2),
 ]
+#: Records stitching must *exclude*: another request's spans and an
+#: engine span under an unrelated batch.
 FOREIGN_RECORDS = [
-    span("server", RESPONSE_STAGE, "someone-else", 100.001, status=200),
-    span("server", ENGINE_STAGE, None, 100.002, batch_id="b9", runs=1),
+    span(2, "service.request", start=0.0005, request_id="someone-else"),
+    span(5, "service.batch", start=0.002, member_request_ids=["someone-else"]),
+    span(6, "engine.evaluate_many", 5, 0.0021, runs=1),
 ]
 
 
 class TestStitchRequest:
     def test_batch_membership_joins_indirect_spans(self):
         tree = stitch_request(TRACE_RECORDS + FOREIGN_RECORDS, RID)
-        assert tree.processes == ["server"]
-        assert tree.stages("server") == [
-            ADMISSION_STAGE,
-            BATCH_STAGE,
-            ENGINE_STAGE,
-            RESPONSE_STAGE,
+        assert tree.names() == [
+            "service.request",
+            "service.batch",
+            "engine.evaluate_many",
         ]
         assert tree.status == 200
         assert missing_stages(tree) == []
 
     def test_batch_span_appears_in_every_member_tree(self):
         other = stitch_request(TRACE_RECORDS, "other-req")
-        assert BATCH_STAGE in other.stages()
-        assert ENGINE_STAGE in other.stages()
+        assert other.names() == ["service.batch", "engine.evaluate_many"]
 
     def test_foreign_records_excluded(self):
         tree = stitch_request(TRACE_RECORDS + FOREIGN_RECORDS, RID)
-        assert all(
-            record.get("request_id") != "someone-else"
-            for record in tree.spans
+        assert [record["span_id"] for record in tree.spans] == [1, 3, 4]
+
+    def test_runs_with_colliding_span_ids_stay_apart(self):
+        """Span ids restart with every process: a second run reusing
+        ids 1..4 must join none of its spans to the first run's tree."""
+        second_run = [
+            dict(record, run="run-b", attributes=dict(record["attributes"]))
+            for record in TRACE_RECORDS
+        ]
+        second_run[0]["attributes"]["request_id"] = "later-request"
+        second_run[1]["attributes"]["member_request_ids"] = ["later-request"]
+        second_run.append(
+            span(2, "service.worker", 1, 0.0012, run="run-b", operation="x")
         )
-        assert all(
-            record.get("attributes", {}).get("batch_id") != "b9"
-            for record in tree.spans
-        )
+        tree = stitch_request(second_run + TRACE_RECORDS, RID)
+        assert [record["run"] for record in tree.spans] == ["run-a"] * 3
+        assert tree.names() == [
+            "service.request",
+            "service.batch",
+            "engine.evaluate_many",
+        ]
 
     def test_order_independence(self):
         """The property the audit-log merge relies on: any read order
         of the same records stitches to the identical tree."""
-        canonical = stitch_request(TRACE_RECORDS, RID).spans
+        records = TRACE_RECORDS + FOREIGN_RECORDS[2:]
+        canonical = stitch_request(records, RID).spans
         assert len(canonical) == len(TRACE_RECORDS)
-        for permutation in itertools.permutations(TRACE_RECORDS):
+        for permutation in itertools.permutations(records):
             assert stitch_request(permutation, RID).spans == canonical
 
     def test_missing_stages_flags_each_gap(self):
         assert missing_stages(stitch_request([], RID)) == [
-            ADMISSION_STAGE,
-            f"{BATCH_STAGE}|{WORKER_STAGE}",
-            RESPONSE_STAGE,
+            "service.request",
+            "service.batch|service.worker",
         ]
-        no_engine = [
-            record
-            for record in TRACE_RECORDS
-            if record["stage"] != ENGINE_STAGE
-        ]
+        no_engine = TRACE_RECORDS[:2]
         assert missing_stages(stitch_request(no_engine, RID)) == [
-            ENGINE_STAGE
+            "engine.* under service.batch"
+        ]
+        unadmitted = [span(1, "service.request", request_id=RID, status=200)]
+        unadmitted += TRACE_RECORDS[1:]
+        assert missing_stages(stitch_request(unadmitted, RID)) == [
+            "service.request.admitted"
         ]
 
     def test_worker_execution_counts_as_complete(self):
         records = [
-            span("server", ADMISSION_STAGE, RID, 100.0, admitted=True),
-            span("server", WORKER_STAGE, RID, 100.001, compute_s=0.5),
-            span("server", RESPONSE_STAGE, RID, 100.002, status=200),
+            span(1, "service.request", request_id=RID, admitted=True, status=200),
+            span(2, "service.worker", 1, 0.001, compute_s=0.5),
         ]
         assert missing_stages(stitch_request(records, RID)) == []
 
@@ -390,6 +426,7 @@ class TestStitchRequest:
         assert f"request {RID}" in complete
         assert "status=200" in complete
         assert "members=2" in complete
+        assert "    engine.evaluate_many" in complete  # under its batch
         assert "INCOMPLETE" not in complete
         partial = render_request_tree(
             stitch_request(TRACE_RECORDS[:2], RID)

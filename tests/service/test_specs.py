@@ -94,6 +94,31 @@ def test_requests_share_one_parsed_topology():
     assert first.topology is second.topology
 
 
+def test_requests_share_one_parsed_protocol_per_spec_and_rounds():
+    """Memo-cache keys hold the protocol, so each request must not pin
+    its own copy — on the concrete and the meanfield path alike."""
+    concrete = [
+        parse_evaluate_payload({"protocol": "S:0.25", "run": run, "rounds": 6})
+        for run in ("cut:2", "good")
+    ]
+    assert concrete[0].protocol is concrete[1].protocol
+    longer = parse_evaluate_payload({"protocol": "S:0.25", "rounds": 7})
+    assert longer.protocol is not concrete[0].protocol
+    scaled = [
+        parse_evaluate_payload(
+            {
+                "protocol": "S:0.25",
+                "topology": f"complete:{size}",
+                "run": "cut:3",
+                "rounds": 6,
+                "backend": "meanfield",
+            }
+        )
+        for size in (1000, 2000)
+    ]
+    assert scaled[0].protocol is scaled[1].protocol
+
+
 def test_resolves_exact_by_method_and_protocol():
     exact = parse_evaluate_payload({"protocol": "S:0.25"})
     assert exact.resolves_exact()  # ProtocolS has a closed form
