@@ -8,6 +8,7 @@ from repro.core.probability import evaluate
 from repro.core.topology import Topology
 from repro.engine import Engine, InProcessCache
 from repro.obs import MetricsRegistry
+from repro.obs.audit import AuditLogger, TraceContext
 from repro.protocols.protocol_s import ProtocolS
 from repro.service.batcher import MicroBatcher
 from repro.service.specs import parse_evaluate_payload
@@ -190,6 +191,62 @@ def test_requests_arriving_during_a_batch_ride_the_next_one():
     results = asyncio.run(go())
     assert calls == [1, 4]
     assert_own_answers(requests, results)
+
+
+def test_a_batch_chained_from_a_sampled_one_keeps_its_own_verdict():
+    """The batch that forms while a sampled batch computes is
+    dispatched from that batch's task, in a context copied from the
+    sampled request.  All its members are unsampled, so its engine
+    span must not join the request's tree or reach the audit sink."""
+    engine = Engine()
+    calls = []
+    started, release = threading.Event(), threading.Event()
+    original = engine.evaluate_many
+
+    def blocking_spy(protocol, topology, runs, **kwargs):
+        calls.append(len(runs))
+        if len(calls) == 1:
+            started.set()
+            assert release.wait(timeout=30)
+        return original(protocol, topology, runs, **kwargs)
+
+    engine.evaluate_many = blocking_spy
+    audit = AuditLogger()
+    batcher = MicroBatcher(engine, MetricsRegistry(), audit=audit)
+    tracer = engine.obs.tracer
+    requests = requests_for(["cut:1", "cut:2", "cut:3"])
+    sampled = TraceContext("client", sampled=True, client_supplied=True)
+    unsampled = TraceContext("generated", sampled=False, client_supplied=False)
+
+    async def sampled_request():
+        with tracer.root("service.request", audit, request_id="client"):
+            return await batcher.submit(requests[0], trace=sampled)
+
+    async def go():
+        loop = asyncio.get_running_loop()
+        try:
+            first = asyncio.ensure_future(sampled_request())
+            assert await loop.run_in_executor(None, started.wait, 30)
+            rest = [
+                asyncio.ensure_future(batcher.submit(request, trace=unsampled))
+                for request in requests[1:]
+            ]
+            await asyncio.sleep(0)  # both join the forming batch
+            release.set()
+            return await asyncio.gather(first, *rest)
+        finally:
+            release.set()
+            await batcher.drain()
+            batcher.shutdown()
+
+    results = asyncio.run(go())
+    assert calls == [1, 2]
+    assert_own_answers(requests, results)
+    assert sorted(record["name"] for record in audit.recent()) == [
+        "engine.evaluate_many",
+        "service.batch",
+        "service.request",
+    ]
 
 
 class _UnhashableS(ProtocolS):
